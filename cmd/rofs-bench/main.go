@@ -18,8 +18,8 @@
 //
 // Usage:
 //
-//	rofs-bench -out BENCH_PR2.json          # the full pinned grid
-//	rofs-bench -short -out -                # CI smoke subset to stdout
+//	rofs-bench -out bench.json              # the full pinned grid to a file
+//	rofs-bench -short                       # CI smoke subset to stdout
 package main
 
 import (
@@ -122,7 +122,7 @@ type reportJSON struct {
 
 func main() {
 	var (
-		outFlag   = flag.String("out", "BENCH_PR2.json", "output file (- for stdout)")
+		outFlag   = flag.String("out", "-", "output file (- for stdout)")
 		shortFlag = flag.Bool("short", false, "run the reduced CI smoke grid")
 		seedFlag  = flag.Int64("seed", 42, "simulation seed")
 		poolJobs  = flag.Int("pool-jobs", runtime.GOMAXPROCS(0),

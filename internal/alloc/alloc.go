@@ -128,6 +128,19 @@ func AppendExtent(list []Extent, e Extent) []Extent {
 	return append(list, e)
 }
 
+// TrimExtent is the inverse of AppendExtent: it removes the last n units
+// of list, shortening the last entry and dropping it when it empties.
+// Policies free whole trailing granules, each of which AppendExtent folded
+// into the last entry, so trimming them keeps the list equal to a
+// from-scratch fold over what remains.
+func TrimExtent(list []Extent, n int64) []Extent {
+	last := len(list) - 1
+	if list[last].Len -= n; list[last].Len == 0 {
+		return list[:last]
+	}
+	return list
+}
+
 // Validate checks an extent list for the invariants every policy must
 // maintain: positive lengths, units within [0, total), and no overlap
 // between extents (logical order need not be physical order). It is used

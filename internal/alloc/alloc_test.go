@@ -1,6 +1,9 @@
 package alloc
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestExtentEndString(t *testing.T) {
 	e := Extent{Start: 10, Len: 5}
@@ -23,6 +26,44 @@ func TestAppendExtentMergesAdjacent(t *testing.T) {
 	}
 	if list[0] != (Extent{0, 16}) {
 		t.Fatalf("merged extent = %v", list[0])
+	}
+}
+
+// TestTrimExtentUndoesAppend: trimming the length just appended restores
+// the list, whether the append opened a new entry or lengthened a merged
+// one.
+func TestTrimExtentUndoesAppend(t *testing.T) {
+	cases := []struct {
+		name string
+		list []Extent
+		e    Extent
+	}{
+		{"into empty", nil, Extent{0, 8}},
+		{"new entry", []Extent{{0, 8}}, Extent{32, 8}},
+		{"merged into last", []Extent{{0, 8}}, Extent{8, 8}},
+		{"merged into long run", []Extent{{100, 4}, {0, 64}}, Extent{64, 1}},
+		{"adjacent to an earlier entry only", []Extent{{0, 8}, {32, 8}}, Extent{8, 8}},
+	}
+	for _, c := range cases {
+		before := slices.Clone(c.list)
+		got := TrimExtent(AppendExtent(slices.Clone(c.list), c.e), c.e.Len)
+		if !slices.Equal(got, before) {
+			t.Errorf("%s: trim(append(%v, %v)) = %v", c.name, before, c.e, got)
+		}
+	}
+}
+
+// TestTrimExtentShortensMergedRun: trimming part of a merged extent only
+// shortens it; trimming the rest removes it.
+func TestTrimExtentShortensMergedRun(t *testing.T) {
+	list := []Extent{{0, 4}, {16, 12}}
+	list = TrimExtent(list, 4)
+	if want := []Extent{{0, 4}, {16, 8}}; !slices.Equal(list, want) {
+		t.Fatalf("after partial trim: %v, want %v", list, want)
+	}
+	list = TrimExtent(list, 8)
+	if want := []Extent{{0, 4}}; !slices.Equal(list, want) {
+		t.Fatalf("after full trim: %v, want %v", list, want)
 	}
 }
 

@@ -236,14 +236,6 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	return added, nil
 }
 
-// rebuildExtents reconstructs the merged extent list from the block list.
-func (f *file) rebuildExtents() {
-	f.extents = f.extents[:0]
-	for _, b := range f.blocks {
-		f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b.addr, Len: int64(1) << b.order})
-	}
-}
-
 // TruncateTo implements alloc.File: whole blocks wholly beyond the target
 // are freed (buddy blocks are atomic — a partially used block stays).
 func (f *file) TruncateTo(target int64) {
@@ -259,6 +251,6 @@ func (f *file) TruncateTo(target int64) {
 		f.p.freeBlock(last.addr, last.order)
 		f.blocks = f.blocks[:len(f.blocks)-1]
 		f.allocated -= size
+		f.extents = alloc.TrimExtent(f.extents, size)
 	}
-	f.rebuildExtents()
 }

@@ -1,6 +1,7 @@
 package buddy
 
 import (
+	"rofs/internal/alloc"
 	"rofs/internal/units"
 )
 
@@ -83,10 +84,12 @@ func (p *Policy) allocSet(sizes []int64) ([]block, bool) {
 func (f *file) setBlocks(bs []block) {
 	f.blocks = bs
 	f.allocated = 0
+	f.extents = f.extents[:0]
 	for _, b := range bs {
-		f.allocated += int64(1) << b.order
+		size := int64(1) << b.order
+		f.allocated += size
+		f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b.addr, Len: size})
 	}
-	f.rebuildExtents()
 }
 
 func sizesOf(bs []block) []int64 {

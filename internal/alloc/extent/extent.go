@@ -164,19 +164,9 @@ type file struct {
 	pieces    []alloc.Extent
 	merged    []alloc.Extent
 	allocated int64
-	stale     bool // merged needs rebuilding
 }
 
-func (f *file) Extents() []alloc.Extent {
-	if f.stale {
-		f.merged = f.merged[:0]
-		for _, e := range f.pieces {
-			f.merged = alloc.AppendExtent(f.merged, e)
-		}
-		f.stale = false
-	}
-	return f.merged
-}
+func (f *file) Extents() []alloc.Extent { return f.merged }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
@@ -238,8 +228,10 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		got += size
 	}
 	f.pieces = append(f.pieces, added...)
+	for _, e := range added {
+		f.merged = alloc.AppendExtent(f.merged, e)
+	}
 	f.allocated += got
-	f.stale = true
 	return added, nil
 }
 
@@ -262,6 +254,6 @@ func (f *file) TruncateTo(target int64) {
 		f.p.stats.Frees++
 		f.allocated -= last.Len
 		f.pieces = f.pieces[:len(f.pieces)-1]
+		f.merged = alloc.TrimExtent(f.merged, last.Len)
 	}
-	f.stale = true
 }

@@ -138,21 +138,10 @@ type file struct {
 	p         *Policy
 	blocks    []int64 // block indices in logical order
 	extents   []alloc.Extent
-	stale     bool
 	allocated int64
 }
 
-func (f *file) Extents() []alloc.Extent {
-	if f.stale {
-		f.extents = f.extents[:0]
-		bu := f.p.cfg.BlockUnits
-		for _, b := range f.blocks {
-			f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b * bu, Len: bu})
-		}
-		f.stale = false
-	}
-	return f.extents
-}
+func (f *file) Extents() []alloc.Extent { return f.extents }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
@@ -180,10 +169,12 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	}
 	f.blocks = append(f.blocks, newBlocks...)
 	f.allocated += need * bu
-	f.stale = true
 	added := make([]alloc.Extent, 0, len(newBlocks))
 	for _, b := range newBlocks {
 		added = alloc.AppendExtent(added, alloc.Extent{Start: b * bu, Len: bu})
+	}
+	for _, e := range added {
+		f.extents = alloc.AppendExtent(f.extents, e)
 	}
 	return added, nil
 }
@@ -201,6 +192,6 @@ func (f *file) TruncateTo(target int64) {
 		f.blocks = f.blocks[:len(f.blocks)-1]
 		f.p.freeBlock(b)
 		f.allocated -= bu
+		f.extents = alloc.TrimExtent(f.extents, bu)
 	}
-	f.stale = true
 }

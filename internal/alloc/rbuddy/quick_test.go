@@ -1,6 +1,7 @@
 package rbuddy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -87,5 +88,59 @@ func TestQuickGrowPolicyMonotone(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// foldExtents rebuilds f's merged extent list from scratch — the
+// reference the incrementally maintained Extents() must equal.
+func foldExtents(f *file) []alloc.Extent {
+	var out []alloc.Extent
+	for _, b := range f.blocks {
+		out = alloc.AppendExtent(out, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
+	}
+	return out
+}
+
+// TestQuickExtentsMatchFold drives random grow, truncate and
+// truncate-to-zero streams over four files and checks after every step
+// that the file's Extents() equals a from-scratch AppendExtent fold over
+// its blocks, sums to its allocation, and validates.
+func TestQuickExtentsMatchFold(t *testing.T) {
+	const total = 1 << 12
+	for _, clustered := range []bool{true, false} {
+		prop := func(script []uint16) bool {
+			p, err := New(Config{TotalUnits: total, SizesUnits: []int64{1, 8, 64, 512}, GrowFactor: 1.5,
+				Clustered: clustered, RegionUnits: 1024})
+			if err != nil {
+				return false
+			}
+			files := make([]*file, 4)
+			for i := range files {
+				files[i] = p.NewFile(0).(*file)
+			}
+			for _, op := range script {
+				f := files[int(op>>10)%len(files)]
+				arg := int64(op&0x3FF) + 1
+				switch op >> 14 {
+				case 0, 1:
+					if _, err := f.Grow(arg); err != nil && err != alloc.ErrNoSpace {
+						return false
+					}
+				case 2:
+					f.TruncateTo(arg % (f.AllocatedUnits() + 1))
+				default:
+					f.TruncateTo(0)
+				}
+				got := f.Extents()
+				if !slices.Equal(got, foldExtents(f)) || alloc.Sum(got) != f.AllocatedUnits() ||
+					alloc.Validate(got, total) != nil {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("clustered=%v: %v", clustered, err)
+		}
 	}
 }

@@ -400,7 +400,6 @@ type file struct {
 	p            *Policy
 	blocks       []rblock
 	extents      []alloc.Extent
-	stale        bool
 	allocated    int64
 	unitsAtClass []int64
 	level        int
@@ -408,16 +407,7 @@ type file struct {
 	fdRegion     int
 }
 
-func (f *file) Extents() []alloc.Extent {
-	if f.stale {
-		f.extents = f.extents[:0]
-		for _, b := range f.blocks {
-			f.extents = alloc.AppendExtent(f.extents, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
-		}
-		f.stale = false
-	}
-	return f.extents
-}
+func (f *file) Extents() []alloc.Extent { return f.extents }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
@@ -473,10 +463,12 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	f.level = level
 	f.lastEnd = lastEnd
 	f.allocated += got
-	f.stale = true
 	added := make([]alloc.Extent, 0, len(newBlocks))
 	for _, b := range newBlocks {
 		added = alloc.AppendExtent(added, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
+	}
+	for _, e := range added {
+		f.extents = alloc.AppendExtent(f.extents, e)
 	}
 	return added, nil
 }
@@ -497,6 +489,7 @@ func (f *file) TruncateTo(target int64) {
 		f.blocks = f.blocks[:len(f.blocks)-1]
 		f.allocated -= size
 		f.unitsAtClass[last.class] -= size
+		f.extents = alloc.TrimExtent(f.extents, size)
 	}
 	f.level = 0
 	for i, u := range f.unitsAtClass {
@@ -511,5 +504,4 @@ func (f *file) TruncateTo(target int64) {
 		last := f.blocks[len(f.blocks)-1]
 		f.lastEnd = last.addr + f.p.sizes[last.class]
 	}
-	f.stale = true
 }

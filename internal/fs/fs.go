@@ -236,7 +236,9 @@ func (f *File) runs(off, n int64) []disk.Run {
 	return out
 }
 
-// complete invokes done now (no disk) or after the disk request finishes.
+// submit sends runs to the disk system and invokes done when the request
+// finishes, or at once (with time 0) when no disk is attached or there is
+// nothing to transfer.
 func (f *File) submit(runs []disk.Run, write bool, done func(now float64)) {
 	if f.fs.dsys == nil || len(runs) == 0 {
 		if done != nil {
