@@ -87,9 +87,6 @@ func main() {
 		maxSimFlag  = fs.Float64("max-sim", 0, "override simulated-time cap (ms)")
 		timeoutFlag = fs.Duration("timeout", 0, "server-side wall-time cap for the run (e.g. 2m)")
 
-		ckptEveryFlag = fs.Float64("ckpt-every", 0,
-			"arm server-side checkpoint/resume at this boundary interval (simulated ms; needs a server with -ckpt-dir)")
-
 		// fault-scenario knobs, forwarded as the request's faults object
 		faultFlags = fault.AddFlags(fs)
 
@@ -122,8 +119,7 @@ func main() {
 		Layout:    *layoutFlag,
 		MaxSimMS:  *maxSimFlag,
 
-		StableWindows:     *stableFlag,
-		CheckpointEveryMS: *ckptEveryFlag,
+		StableWindows: *stableFlag,
 	}
 	if *policyFlag == "fixed" {
 		n, err := parseSize(*blockFlag)

@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/metrics"
 	"rofs/internal/prof"
 	"rofs/internal/service"
@@ -56,8 +55,6 @@ func main() {
 			"result-store byte budget; least recently used records beyond it are evicted (K/M/G suffixes)")
 		cacheEntriesFlag = flag.Int("cache-entries", 0,
 			"bound the in-memory result cache to this many entries, LRU-evicted (0: unbounded)")
-		ckptDirFlag = flag.String("ckpt-dir", "",
-			"persist run checkpoints to this directory; armed runs resume across restarts (empty disables)")
 
 		accessLogFlag = flag.String("access-log", "",
 			"write one JSON access record per request to this file (- for stderr; empty disables)")
@@ -126,13 +123,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rofs-server: result store %s: %d records, %d live bytes (budget %d)\n",
 			*storeDirFlag, st.Records, st.LiveBytes, maxBytes)
 	}
-	var ckptMgr *ckpt.Manager
-	if *ckptDirFlag != "" {
-		var err error
-		if ckptMgr, err = ckpt.NewManager(*ckptDirFlag); err != nil {
-			fatal("%v", err)
-		}
-	}
 
 	svc := service.New(service.Options{
 		Jobs:              *jobsFlag,
@@ -142,7 +132,6 @@ func main() {
 		AccessLog:         accessLog,
 		Store:             resultStore,
 		CacheEntries:      *cacheEntriesFlag,
-		Ckpt:              ckptMgr,
 	})
 
 	ln, err := net.Listen("tcp", *addrFlag)

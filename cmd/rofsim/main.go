@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"rofs/internal/alloc/extent"
-	"rofs/internal/ckpt"
 	"rofs/internal/cluster"
 	"rofs/internal/core"
 	"rofs/internal/disk"
@@ -71,12 +70,6 @@ func main() {
 		cpuProfFlag  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfFlag  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		execTraceFlg = flag.String("exectrace", "", "write a runtime execution trace to this file")
-
-		// checkpoint/resume knobs (see EXPERIMENTS.md "Persistent results
-		// and checkpoint/resume")
-		ckptDirFlag   = flag.String("checkpoint", "", "persist run checkpoints to this directory (app/seq tests)")
-		ckptEveryFlag = flag.Float64("checkpoint-every", 0, "checkpoint boundary interval (simulated ms; 0 disables)")
-		resumeFlag    = flag.Bool("resume", false, "resume from an existing checkpoint in -checkpoint (default: start fresh)")
 
 		// fault-scenario knobs (see EXPERIMENTS.md "Fault injection")
 		faultFlags = fault.AddFlags(flag.CommandLine)
@@ -205,51 +198,6 @@ func main() {
 		defer tf.Close()
 		cfg.TraceWriter = tf
 	}
-	// Arm verified checkpoint/resume: the canonical runner.Spec key names
-	// the run (grid included), so an identical re-invocation with -resume
-	// finds its saved boundary and finishes byte-identical to an
-	// uninterrupted run.
-	var ckptMgr *ckpt.Manager
-	var ckptKey string
-	if *ckptEveryFlag > 0 {
-		var kind core.TestKind
-		switch *testFlag {
-		case "app":
-			kind = core.Application
-		case "seq":
-			kind = core.Sequential
-		default:
-			fatal("-checkpoint-every requires -test app or seq, not %q", *testFlag)
-		}
-		if *ckptDirFlag == "" {
-			fatal("-checkpoint-every requires -checkpoint DIR")
-		}
-		sp := sc.Spec(spec, wl, kind)
-		sp.Faults = cfg.Faults
-		sp.Cluster = cc
-		sp.CheckpointEveryMS = *ckptEveryFlag
-		ckptKey = sp.Key()
-		mgr, merr := ckpt.NewManager(*ckptDirFlag)
-		if merr != nil {
-			fatal("%v", merr)
-		}
-		if !*resumeFlag {
-			mgr.Clear(ckptKey)
-		}
-		hook, herr := mgr.Arm(*ckptEveryFlag, ckptKey, sp.Label())
-		if herr != nil {
-			fatal("%v", herr)
-		}
-		switch {
-		case hook.Resume != nil:
-			fmt.Fprintf(os.Stderr, "rofsim: resuming from checkpoint seq %d at %.0f ms (verified replay)\n",
-				hook.Resume.Seq, hook.Resume.SimMS)
-		case *resumeFlag:
-			fmt.Fprintf(os.Stderr, "rofsim: no checkpoint to resume; running from scratch\n")
-		}
-		cfg.Checkpoint = hook
-		ckptMgr = mgr
-	}
 
 	metricsFmt, err := metrics.ParseFormat(*metricsFmtFlag)
 	if err != nil {
@@ -365,12 +313,6 @@ func main() {
 		fmt.Fprintf(rpt, "  objects:      %d files, %s mean size\n", f.Files, units.Format(int64(f.MeanFileBytes)))
 	default:
 		fatal("unknown test %q", *testFlag)
-	}
-
-	// The run completed; its checkpoint is spent (a killed run never gets
-	// here, leaving the file for -resume).
-	if ckptMgr != nil {
-		ckptMgr.Clear(ckptKey)
 	}
 
 	if *metricsFlag != "" {

@@ -94,13 +94,6 @@ type Deployment struct {
 	// Metrics handles (nil when metrics are off).
 	reg              *metrics.Registry
 	mArr, mAdm, mRej *metrics.Counter
-
-	// Checkpoint state: like Metrics, the hook belongs to the fleet —
-	// members run with their hooks nil'd and the Deployment fingerprints
-	// the whole fleet at boundaries on the window grid (see parallel.go).
-	ckptSeq      int64
-	ckptErr      error
-	ckptVerified bool
 }
 
 // newDeployment builds the fleet: each member gets the same configuration
@@ -130,10 +123,7 @@ func newDeployment(cfg core.Config, cc Config) (*Deployment, error) {
 		// The fleet's registry belongs to the Deployment: per-instance
 		// registries would collide on series names, so members run
 		// metrics-off and the cluster.* series sample them from outside.
-		// Checkpointing follows the same split — the Deployment
-		// fingerprints the fleet at window boundaries.
 		icfg.Metrics = nil
-		icfg.Checkpoint = nil
 		if i != 0 {
 			// One event trace per run: instance 0's. N interleaved traces
 			// in one stream would be unparseable.
@@ -181,23 +171,18 @@ func (d *Deployment) run() (core.Outcome, error) {
 	d.wireMetrics()
 
 	// Two execution tiers (see parallel.go): closed-loop metrics-off
-	// unarmed fleets have no cross-instance coupling at all and run each
-	// engine to its own stop; everything else — including checkpoint-
-	// armed fleets, whose boundary fingerprints are a fleet-wide
-	// coupling — advances in conservative-lookahead windows, exchanging
-	// routed arrivals, completions, load snapshots, metrics samples, and
-	// checkpoint states at the barriers.
+	// fleets have no cross-instance coupling at all and run each engine
+	// to its own stop; everything else advances in conservative-lookahead
+	// windows, exchanging routed arrivals, completions, load snapshots,
+	// and metrics samples at the barriers.
 	var end float64
 	var err error
-	if !open && d.reg == nil && d.ckptHook() == nil {
+	if !open && d.reg == nil {
 		end, err = d.runIndependent()
 	} else {
 		end, err = d.runWindowed(open)
 	}
 	if err != nil {
-		return out, err
-	}
-	if err := d.ckptFinish(end); err != nil {
 		return out, err
 	}
 

@@ -171,10 +171,6 @@ func (d *Deployment) runWindowed(open bool) (float64, error) {
 	if d.reg != nil {
 		sampleW = d.reg.IntervalMS()
 	}
-	ckptW := 0.0
-	if h := d.ckptHook(); h != nil {
-		ckptW = h.EveryMS
-	}
 	syncW := 0.0
 	if open {
 		switch {
@@ -217,7 +213,7 @@ func (d *Deployment) runWindowed(open bool) (float64, error) {
 		}
 	}
 
-	nextSnap, nextSample, nextSync, nextCkpt := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
+	nextSnap, nextSample, nextSync := math.Inf(1), math.Inf(1), math.Inf(1)
 	if snapW > 0 {
 		nextSnap = snapW
 	}
@@ -227,13 +223,10 @@ func (d *Deployment) runWindowed(open bool) (float64, error) {
 	if syncW > 0 {
 		nextSync = syncW
 	}
-	if ckptW > 0 {
-		nextCkpt = ckptW
-	}
 
 	end := horizon
 	for t := 0.0; t < horizon; {
-		t1 := math.Min(horizon, math.Min(math.Min(nextSync, nextCkpt), math.Min(nextSnap, nextSample)))
+		t1 := math.Min(horizon, math.Min(nextSync, math.Min(nextSnap, nextSample)))
 		if open {
 			d.ctl.RunUntil(t1)
 		}
@@ -249,12 +242,6 @@ func (d *Deployment) runWindowed(open bool) (float64, error) {
 		if t1 == nextSample {
 			d.reg.Sample(t1)
 			nextSample += sampleW
-		}
-		if t1 == nextCkpt {
-			if err := d.ckptBoundary(t1, open); err != nil {
-				return t1, err
-			}
-			nextCkpt += ckptW
 		}
 		if t1 == nextSync {
 			nextSync += syncW

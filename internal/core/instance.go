@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/disk"
 	"rofs/internal/fault"
 	"rofs/internal/fs"
@@ -76,14 +75,6 @@ type Config struct {
 	// runner's pool propagates context cancellation and timeouts into a
 	// simulation without threading a context through the hot path.
 	Cancel <-chan struct{}
-
-	// Checkpoint, when non-nil with a positive EveryMS, arms verified
-	// checkpoint/resume: a boundary event fires every EveryMS of
-	// simulated time, fingerprints the run, and feeds the hook (see
-	// internal/ckpt). Like Metrics, arming schedules engine events, so
-	// an armed run's event sequence differs from an unarmed one's — the
-	// runner folds the grid into the cache key.
-	Checkpoint *ckpt.Hook
 }
 
 func (c *Config) setDefaults() error {
@@ -217,12 +208,6 @@ type Instance struct {
 
 	// canceled records that Config.Cancel fired mid-run.
 	canceled bool
-
-	// Checkpoint state (see ckpt.go): boundary ordinal, first boundary
-	// error, and whether the resume target verified.
-	ckptSeq      int64
-	ckptErr      error
-	ckptVerified bool
 }
 
 // checkCancel polls Config.Cancel every strideth call (counted by *n); on
@@ -350,7 +335,6 @@ func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance
 	}
 	s.wireMetrics(kind)
 	s.startMetricsTick()
-	s.startCkptTick()
 	return s, nil
 }
 

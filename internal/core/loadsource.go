@@ -295,3 +295,30 @@ func (s *Instance) MergeLatency(w *stats.Welford, h *stats.Histogram) {
 		h.Merge(s.latencyH)
 	}
 }
+
+// Fingerprint is a compact summary of one instance's deterministic
+// state: two runs that must be identical (e.g. one fleet at different
+// worker counts) must agree on every field.
+type Fingerprint struct {
+	Index int
+	Seed  int64
+	// Draws is the RNG stream position (primitive draws made so far).
+	Draws       uint64
+	Ops         int64
+	AllocFails  int64
+	Utilization float64
+	Files       int64
+}
+
+// Fingerprint returns the instance's current Fingerprint.
+func (s *Instance) Fingerprint() Fingerprint {
+	return Fingerprint{
+		Index:       s.idx,
+		Seed:        s.seed,
+		Draws:       s.rng.Draws(),
+		Ops:         s.ops,
+		AllocFails:  s.allocFails,
+		Utilization: s.fsys.Utilization(),
+		Files:       int64(s.fsys.Files()),
+	}
+}

@@ -112,7 +112,6 @@ func Run(cfg Config, kind TestKind) (Outcome, error) {
 		out.Stats = RunStats{SimMS: s.eng.Now(), Events: s.eng.Fired()}
 		s.finalizeMetrics()
 		out.Metrics = cfg.Metrics
-		err = s.ckptFinish(err)
 		if err == nil && s.canceled {
 			err = ErrCanceled
 		}

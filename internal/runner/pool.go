@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/cluster"
 	"rofs/internal/core"
 	"rofs/internal/metrics"
@@ -89,13 +88,6 @@ type Pool struct {
 	// entries are never evicted). Zero or negative means unbounded — the
 	// pre-bound behavior.
 	CacheEntries int
-
-	// Ckpt, when set, persists checkpoint states for Specs that arm
-	// CheckpointEveryMS, and resumes from an existing state on
-	// resubmission after a drain or crash (see internal/ckpt). Nil: armed
-	// Specs still run their boundary events (the key contract) but
-	// nothing is persisted.
-	Ckpt *ckpt.Manager
 
 	mu         sync.Mutex
 	cache      map[string]*cacheEntry
@@ -515,39 +507,10 @@ func (p *Pool) simulate(ctx context.Context, sp Spec) (out core.Outcome, err err
 	if p.MetricsIntervalMS > 0 {
 		cfg.Metrics = metrics.New(p.MetricsIntervalMS)
 	}
-	if sp.CheckpointEveryMS > 0 {
-		cfg.Checkpoint = p.armCkpt(sp)
-	}
 	if sp.Cluster.Enabled() {
-		out, err = cluster.Run(cfg, sp.Cluster, sp.Kind)
-	} else {
-		out, err = core.Run(cfg, sp.Kind)
+		return cluster.Run(cfg, sp.Cluster, sp.Kind)
 	}
-	if err == nil && p.Ckpt != nil && sp.CheckpointEveryMS > 0 {
-		// The run completed: its checkpoint is spent. Clearing keeps the
-		// directory from accumulating states for finished Specs.
-		p.Ckpt.Clear(sp.Key())
-	}
-	return out, err
-}
-
-// armCkpt builds the checkpoint hook for an armed Spec. With a manager
-// it persists boundary states and resumes from any existing state; with
-// no manager the boundary events still fire (the armed key names the
-// armed event sequence) but nothing is written.
-func (p *Pool) armCkpt(sp Spec) *ckpt.Hook {
-	key, label := sp.Key(), sp.Label()
-	if p.Ckpt == nil {
-		return &ckpt.Hook{EveryMS: sp.CheckpointEveryMS, Key: key, Label: label}
-	}
-	h, err := p.Ckpt.Arm(sp.CheckpointEveryMS, key, label)
-	if err != nil {
-		// An unreadable prior checkpoint cannot seed a resume: clear it
-		// and run (and re-checkpoint) from scratch.
-		p.Ckpt.Clear(key)
-		return &ckpt.Hook{EveryMS: sp.CheckpointEveryMS, Key: key, Label: label, Sink: p.Ckpt.Save}
-	}
-	return h
+	return core.Run(cfg, sp.Kind)
 }
 
 // Do runs fn(i) for every i in [0, n) on at most Jobs workers and returns

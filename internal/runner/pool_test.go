@@ -52,7 +52,6 @@ func TestSpecKeyIdentity(t *testing.T) {
 		"stable": func(s *Spec) { s.StableWindows = 8 },
 		"deg":    func(s *Spec) { s.Degraded = true },
 		"disk":   func(s *Spec) { s.Disk.NDisks = 3 },
-		"ckpt":   func(s *Spec) { s.CheckpointEveryMS = 10_000 },
 	} {
 		c := testSpec(t, 1)
 		mutate(&c)

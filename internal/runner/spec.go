@@ -60,15 +60,6 @@ type Spec struct {
 	// (and the cache entry under Key, which excludes Parallelism) is
 	// byte-identical at every combination of jobs and Parallelism.
 	Cluster cluster.Config
-
-	// CheckpointEveryMS, when positive, arms verified checkpoint/resume
-	// on the run with boundaries every so many simulated milliseconds
-	// (see internal/ckpt). The boundary events join the run's event
-	// sequence — an armed run is a distinct deterministic variant of the
-	// spec, so the grid is part of the canonical key. Where checkpoints
-	// are persisted (the Pool's Ckpt manager directory) is operational
-	// and excluded, like the result store's path and size.
-	CheckpointEveryMS float64
 }
 
 // Config assembles the core.Config the Spec declares.
@@ -106,11 +97,6 @@ func (s Spec) Key() string {
 	// Likewise the cluster term exists only for fleet runs.
 	if ck := s.Cluster.Key(); ck != "" {
 		key += "|cluster{" + ck + "}"
-	}
-	// And the checkpoint term only for armed runs, whose boundary events
-	// make them distinct deterministic variants.
-	if s.CheckpointEveryMS > 0 {
-		key += fmt.Sprintf("|ckpt=%g", s.CheckpointEveryMS)
 	}
 	return key
 }

@@ -25,7 +25,6 @@ func TestSpecKeyGolden(t *testing.T) {
 		testSpec(t, 42),
 		testSpec(t, 42),
 		testSpec(t, 42),
-		testSpec(t, 42),
 	}
 	specs[1].Policy = core.Buddy()
 	specs[1].Kind = core.Application
@@ -33,10 +32,6 @@ func TestSpecKeyGolden(t *testing.T) {
 	specs[3].Policy = core.Fixed(4096)
 	specs[3].Kind = core.Sequential
 	specs[3].MaxSimMS = 30_000
-	// An armed run is a distinct deterministic variant: the checkpoint
-	// grid appends a |ckpt= term (and only then).
-	specs[4].Kind = core.Application
-	specs[4].CheckpointEveryMS = 10_000
 
 	// The scenario layer's variants, each appending its own term (and only
 	// when armed): the aging kind, an inline arrival trace, and the

@@ -3,12 +3,9 @@ package runner
 import (
 	"context"
 	"encoding/json"
-	"os"
 	"reflect"
 	"testing"
 
-	"rofs/internal/ckpt"
-	"rofs/internal/core"
 	"rofs/internal/store"
 )
 
@@ -181,117 +178,5 @@ func TestPoolCacheUnbounded(t *testing.T) {
 	st := p.Stats()
 	if st.CacheEvictions != 0 || st.CacheEntries != 3 {
 		t.Errorf("unbounded cache: %d entries, %d evictions; want 3 and 0", st.CacheEntries, st.CacheEvictions)
-	}
-}
-
-// ckptSpec returns a fast application run armed with a checkpoint grid.
-func ckptSpec(t testing.TB, seed int64) Spec {
-	sp := testSpec(t, seed)
-	sp.Kind = core.Application
-	sp.MaxSimMS = 60_000
-	sp.CheckpointEveryMS = 10_000
-	return sp
-}
-
-// TestPoolCheckpointLifecycle: an armed Spec through a pool with a
-// manager persists boundaries during the run and clears its checkpoint
-// on completion; resubmission after a simulated crash resumes from the
-// saved state and finishes identically.
-func TestPoolCheckpointLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	mgr, err := ckpt.NewManager(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := ckptSpec(t, 21)
-
-	p := New(1)
-	p.Ckpt = mgr
-	base, err := p.Run(context.Background(), []Spec{sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Completion clears the spent checkpoint.
-	if _, err := os.Stat(mgr.Path(sp.Key())); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file survived a completed run (stat err: %v)", err)
-	}
-
-	// Simulate a crash mid-run: run the same armed config directly (no
-	// pool, no Clear), leaving the last boundary's file behind.
-	cfg := sp.Config()
-	cfg.Checkpoint = &ckpt.Hook{EveryMS: sp.CheckpointEveryMS, Key: sp.Key(), Label: sp.Label(), Sink: mgr.Save}
-	if _, err := core.Run(cfg, sp.Kind); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(mgr.Path(sp.Key())); err != nil {
-		t.Fatalf("no checkpoint left to resume from: %v", err)
-	}
-
-	// A fresh pool resumes from it, verifies, matches, and clears.
-	p2 := New(1)
-	p2.Ckpt = mgr
-	resumed, err := p2.Run(context.Background(), []Spec{sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base[0].Outcome.Perf, resumed[0].Outcome.Perf) {
-		t.Errorf("resumed PerfResult differs:\nbase:    %+v\nresumed: %+v", base[0].Outcome.Perf, resumed[0].Outcome.Perf)
-	}
-	if base[0].Outcome.Stats != resumed[0].Outcome.Stats {
-		t.Errorf("resumed stats differ: %+v vs %+v", base[0].Outcome.Stats, resumed[0].Outcome.Stats)
-	}
-	if _, err := os.Stat(mgr.Path(sp.Key())); !os.IsNotExist(err) {
-		t.Errorf("checkpoint not cleared after resumed completion (stat err: %v)", err)
-	}
-}
-
-// TestPoolArmedWithoutManager: CheckpointEveryMS without a Ckpt manager
-// still runs (boundary events fire, nothing persists) and produces the
-// same result as a managed armed run — the key contract.
-func TestPoolArmedWithoutManager(t *testing.T) {
-	sp := ckptSpec(t, 22)
-	bare := New(1)
-	res1, err := bare.Run(context.Background(), []Spec{sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := ckpt.NewManager(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	managed := New(1)
-	managed.Ckpt = mgr
-	res2, err := managed.Run(context.Background(), []Spec{sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res1[0].Outcome.Perf, res2[0].Outcome.Perf) || res1[0].Outcome.Stats != res2[0].Outcome.Stats {
-		t.Errorf("managed and unmanaged armed runs differ:\nbare:    %+v %+v\nmanaged: %+v %+v",
-			res1[0].Outcome.Perf, res1[0].Outcome.Stats, res2[0].Outcome.Perf, res2[0].Outcome.Stats)
-	}
-}
-
-// TestPoolCorruptCheckpointRecovers: a tampered checkpoint file cannot
-// seed a resume; the pool clears it and runs from scratch.
-func TestPoolCorruptCheckpointRecovers(t *testing.T) {
-	mgr, err := ckpt.NewManager(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := ckptSpec(t, 23)
-	if err := os.WriteFile(mgr.Path(sp.Key()), []byte("{ not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p := New(1)
-	p.Ckpt = mgr
-	res, err := p.Run(context.Background(), []Spec{sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Err != nil || res[0].Outcome.Perf.SimMS == 0 {
-		t.Errorf("run after corrupt checkpoint: err=%v perf=%+v", res[0].Err, res[0].Outcome.Perf)
-	}
-	if _, err := os.Stat(mgr.Path(sp.Key())); !os.IsNotExist(err) {
-		t.Errorf("corrupt checkpoint not cleared (stat err: %v)", err)
 	}
 }

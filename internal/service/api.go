@@ -98,15 +98,6 @@ type RunRequest struct {
 	// TimeoutMS bounds the run's wall time; past it the simulation is
 	// canceled and the run fails. Zero means the server's default.
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
-
-	// CheckpointEveryMS arms verified checkpoint/resume on the run (see
-	// internal/ckpt): boundary states are persisted every so many
-	// simulated milliseconds, and an identical resubmission after a drain
-	// or crash resumes from the last saved boundary. The grid joins the
-	// Spec's canonical key, so an armed run is a distinct deterministic
-	// variant. App and seq tests only; requires a server started with a
-	// checkpoint directory (400 otherwise).
-	CheckpointEveryMS float64 `json:"checkpoint_every_ms,omitempty"`
 }
 
 // Spec validates the request and assembles the runner.Spec it declares,
@@ -265,19 +256,12 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 	if req.StableWindows < 0 {
 		return zero, fmt.Errorf("stable_windows must be non-negative, got %d", req.StableWindows)
 	}
-	if req.CheckpointEveryMS < 0 {
-		return zero, fmt.Errorf("checkpoint_every_ms must be non-negative, got %g", req.CheckpointEveryMS)
-	}
-	if req.CheckpointEveryMS > 0 && kind != core.Application && kind != core.Sequential {
-		return zero, fmt.Errorf("checkpointing requires the app or seq test, not %q", req.Test)
-	}
 	sp := sc.Spec(policy, wl, kind)
 	sp.Name = req.Name
 	sp.StableWindows = req.StableWindows
 	sp.Degraded = req.Degraded
 	sp.Faults = faults
 	sp.Cluster = cl
-	sp.CheckpointEveryMS = req.CheckpointEveryMS
 	return sp, nil
 }
 

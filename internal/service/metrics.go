@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/metrics"
 	"rofs/internal/runner"
 	"rofs/internal/store"
@@ -64,12 +63,6 @@ type serverMetrics struct {
 	storeRecords, storeLive   *metrics.Gauge
 	storeDead, storeSegs      *metrics.Gauge
 	lastStore                 store.Stats
-
-	// Checkpoint activity: per-operation duration histograms and error
-	// counter, fed by the manager's OnEvent callback.
-	ckptSaveMS, ckptRestoreMS *metrics.Hist
-	ckptSaves, ckptRestores   *metrics.Counter
-	ckptErrors                *metrics.Counter
 
 	// Go runtime health, refreshed at scrape time from runner.Stats'
 	// runtime snapshot plus a local ReadMemStats for the GC pause ring.
@@ -144,11 +137,6 @@ func newServerMetrics() *serverMetrics {
 		storeLive:          reg.Gauge("store.live_bytes"),
 		storeDead:          reg.Gauge("store.dead_bytes"),
 		storeSegs:          reg.Gauge("store.segments"),
-		ckptSaveMS:         reg.Histogram("service.checkpoint_ms", latencyBoundsMS),
-		ckptRestoreMS:      reg.Histogram("service.restore_ms", latencyBoundsMS),
-		ckptSaves:          reg.Counter("service.checkpoints"),
-		ckptRestores:       reg.Counter("service.restores"),
-		ckptErrors:         reg.Counter("service.checkpoint_errors"),
 		goroutines:         reg.Gauge("go.goroutines"),
 		heapAlloc:          reg.Gauge("go.heap_alloc_bytes"),
 		heapSys:            reg.Gauge("go.heap_sys_bytes"),
@@ -249,24 +237,6 @@ func (m *serverMetrics) countFinished(state string, res runner.Result) {
 	}
 	if res.Err == nil {
 		m.runWallMS.Observe(res.Wall.Seconds() * 1000)
-	}
-}
-
-// observeCkpt records one checkpoint-manager operation (the manager's
-// OnEvent callback).
-func (m *serverMetrics) observeCkpt(ev ckpt.Event) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch ev.Kind {
-	case "checkpoint":
-		m.ckptSaves.Inc()
-		m.ckptSaveMS.Observe(ev.DurMS)
-	case "restore":
-		m.ckptRestores.Inc()
-		m.ckptRestoreMS.Observe(ev.DurMS)
-	}
-	if ev.Err != nil {
-		m.ckptErrors.Inc()
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/core"
 	"rofs/internal/metrics"
 	"rofs/internal/obs"
@@ -57,11 +56,6 @@ type Options struct {
 	// CacheEntries bounds the pool's in-memory result cache (see
 	// runner.Pool.CacheEntries). Zero means unbounded.
 	CacheEntries int
-	// Ckpt persists checkpoint states for runs that arm
-	// checkpoint_every_ms, and resumes them on resubmission after a drain
-	// or crash. Nil rejects such requests with 400 — a client asking for
-	// durability the server cannot provide should hear about it.
-	Ckpt *ckpt.Manager
 }
 
 func (o Options) withDefaults() Options {
@@ -135,10 +129,6 @@ func New(opts Options) *Server {
 	s.pool.MetricsIntervalMS = opts.MetricsIntervalMS
 	s.pool.Store = opts.Store
 	s.pool.CacheEntries = opts.CacheEntries
-	s.pool.Ckpt = opts.Ckpt
-	if opts.Ckpt != nil {
-		opts.Ckpt.OnEvent = s.obs.observeCkpt
-	}
 	return s
 }
 
@@ -191,12 +181,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.TraceID = obs.TraceIDFrom(r.Context())
-	if sp.CheckpointEveryMS > 0 && s.opts.Ckpt == nil {
-		ri.Update(func(rec *obs.AccessRecord) { rec.Outcome = "invalid" })
-		s.writeError(w, http.StatusBadRequest,
-			errors.New("checkpoint_every_ms requires a server started with a checkpoint directory (-ckpt-dir)"))
-		return
-	}
 
 	timeout := s.opts.RunTimeout
 	if req.TimeoutMS > 0 {

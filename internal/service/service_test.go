@@ -351,6 +351,7 @@ func TestBadRequestsRejected(t *testing.T) {
 		"bad-policy":    `{"policy":"slab","workload":"TS","test":"app"}`,
 		"bad-workload":  `{"policy":"buddy","workload":"XX","test":"app"}`,
 		"bad-degraded":  `{"policy":"buddy","workload":"TS","test":"app","degraded":true}`,
+		"removed-field": `{"policy":"buddy","workload":"TS","test":"app","checkpoint_every_ms":5000}`,
 	} {
 		resp, err := http.Post(c.BaseURL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rofs/internal/ckpt"
 	"rofs/internal/store"
 )
 
@@ -143,47 +142,6 @@ func promValue(text, series string) string {
 		}
 	}
 	return ""
-}
-
-// TestCheckpointRequiresManager: arming checkpoint_every_ms against a
-// server without a checkpoint directory is a 400, not a silent no-op.
-func TestCheckpointRequiresManager(t *testing.T) {
-	_, c := newTestServer(t, Options{Jobs: 1})
-	req := shortReq()
-	req.CheckpointEveryMS = 5_000
-	_, err := c.SubmitWait(context.Background(), req)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("err = %v, want a checkpoint-directory rejection", err)
-	}
-}
-
-// TestCheckpointedRunOverHTTP: an armed run on a checkpoint-enabled
-// server completes, reports checkpoint activity on /metrics, and leaves
-// no stale state behind.
-func TestCheckpointedRunOverHTTP(t *testing.T) {
-	mgr, err := ckpt.NewManager(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, c := newTestServer(t, Options{Jobs: 1, Ckpt: mgr})
-	req := shortReq()
-	req.CheckpointEveryMS = 5_000
-	st, err := c.SubmitWait(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone || st.Result == nil || st.Result.Perf == nil {
-		t.Fatalf("armed run: %+v", st)
-	}
-	var buf bytes.Buffer
-	s.obs.write(&buf, s.pool.Stats(), nil)
-	text := buf.String()
-	if got := promValue(text, "service_checkpoints"); got == "" || got == "0" {
-		t.Errorf("service_checkpoints = %q, want >= 1:\n%s", got, grepLines(text, "service_checkpoint"))
-	}
-	if got := promValue(text, "service_checkpoint_errors"); got != "0" {
-		t.Errorf("service_checkpoint_errors = %q, want 0", got)
-	}
 }
 
 // grepLines returns the lines of s containing sub, for focused failures.

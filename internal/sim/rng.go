@@ -10,10 +10,11 @@ import (
 // mean + deviation), and exponential inter-request think times (§2.2).
 // Every simulation owns exactly one RNG so runs are reproducible.
 //
-// The generator counts its primitive draws (Draws) so a checkpoint can
-// record stream position and a resumed replay can verify it reproduced
-// the same sequence. Zipf draws go through rand.Zipf's own consumption
-// and are not counted; they remain deterministic per seed regardless.
+// The generator counts its primitive draws (Draws) so determinism checks
+// can compare stream positions: two runs that must be identical must
+// also have drawn the same number of values. Zipf draws go through
+// rand.Zipf's own consumption and are not counted; they remain
+// deterministic per seed regardless.
 type RNG struct {
 	r     *rand.Rand
 	draws uint64
@@ -101,7 +102,7 @@ func (g *RNG) Float64() float64 {
 }
 
 // Draws returns the number of primitive draws made so far — a cheap
-// fingerprint of stream position for checkpoint verification.
+// fingerprint of stream position for determinism checks.
 func (g *RNG) Draws() uint64 { return g.draws }
 
 // NewZipf returns a Zipf-distributed generator over [0, imax] with
