@@ -3,11 +3,12 @@
 // whose sizes are powers of two, and "each time a new extent is required,
 // the extent size is chosen to double the current size of the file". The
 // paper simulates only the allocation and deallocation algorithm — not
-// Koch's nightly reallocator — and so does this package.
+// Koch's nightly reallocator — and so does the policy; Compact
+// (realloc.go) adds the reallocator as an ablation.
 //
-// Free space is the classic binary buddy structure: per-order free sets,
-// splitting larger blocks on demand and coalescing buddy pairs on free.
-// A request for an extent of size s fails outright when no free block of
+// Free space is the classic binary buddy structure: one free-block bitmap
+// per order, splitting larger blocks on demand and coalescing buddy pairs
+// on free. A request for an extent of size s fails outright when no free block of
 // size >= s exists — the policy never composes an extent from smaller
 // blocks, which is exactly why the paper observes substantial *external*
 // fragmentation for this policy (Table 3): the disk can be 13% free and
@@ -18,7 +19,7 @@ import (
 	"fmt"
 
 	"rofs/internal/alloc"
-	"rofs/internal/container/rbtree"
+	"rofs/internal/container/bitset"
 	"rofs/internal/units"
 )
 
@@ -63,10 +64,10 @@ func (c *Config) setDefaults() error {
 type Policy struct {
 	cfg      Config
 	maxOrder int
-	// orders[o] holds the start addresses of free blocks of size 1<<o.
-	// Address-ordered so allocation is deterministic (lowest address
-	// first).
-	orders []*rbtree.Tree[int64, struct{}]
+	// orders[o] is the free map of blocks of size 1<<o: member k is the
+	// free block at k<<o. Allocation takes the lowest member, so placement
+	// is deterministic (lowest address first).
+	orders []*bitset.Set
 	free   int64
 	stats  alloc.OpStats
 }
@@ -82,9 +83,9 @@ func New(cfg Config) (*Policy, error) {
 		return nil, err
 	}
 	p := &Policy{cfg: cfg, maxOrder: units.Log2(units.NextPowerOfTwo(cfg.TotalUnits))}
-	p.orders = make([]*rbtree.Tree[int64, struct{}], p.maxOrder+1)
-	for i := range p.orders {
-		p.orders[i] = rbtree.New[int64, struct{}](func(a, b int64) bool { return a < b })
+	p.orders = make([]*bitset.Set, p.maxOrder+1)
+	for o := range p.orders {
+		p.orders[o] = bitset.New(cfg.TotalUnits >> o)
 	}
 	for addr := int64(0); addr < cfg.TotalUnits; {
 		size := units.PrevPowerOfTwo(cfg.TotalUnits - addr)
@@ -93,7 +94,8 @@ func New(cfg Config) (*Policy, error) {
 				size = lowBit
 			}
 		}
-		p.orders[units.Log2(size)].Set(addr, struct{}{})
+		o := units.Log2(size)
+		p.orders[o].Add(addr >> o)
 		p.free += size
 		addr += size
 	}
@@ -114,8 +116,8 @@ func (p *Policy) FreeUnits() int64 { return p.free }
 // biggest non-empty order.
 func (p *Policy) FreeSpaceStats() alloc.FreeSpaceStats {
 	var st alloc.FreeSpaceStats
-	for o, tree := range p.orders {
-		if n := tree.Len(); n > 0 {
+	for o, set := range p.orders {
+		if n := set.Len(); n > 0 {
 			st.Fragments += int64(n)
 			st.LargestUnits = int64(1) << o
 		}
@@ -133,11 +135,12 @@ func (p *Policy) allocBlock(order int) (int64, error) {
 	if from > p.maxOrder {
 		return 0, alloc.ErrNoSpace
 	}
-	addr, _, _ := p.orders[from].Min()
-	p.orders[from].Delete(addr)
+	k, _ := p.orders[from].Next(0)
+	p.orders[from].Remove(k)
+	addr := k << from
 	// Split down, freeing the upper half at each level.
 	for o := from - 1; o >= order; o-- {
-		p.orders[o].Set(addr+int64(1)<<o, struct{}{})
+		p.orders[o].Add(addr>>o + 1)
 	}
 	p.free -= int64(1) << order
 	p.stats.Allocs++
@@ -145,13 +148,15 @@ func (p *Policy) allocBlock(order int) (int64, error) {
 }
 
 // freeBlock returns a block of 1<<order units at addr, coalescing with its
-// buddy as long as the buddy is free.
+// buddy as long as the buddy is free. Freeing a block that is still free
+// at its own order is a double free and panics; one already merged into a
+// free parent is not detected.
 func (p *Policy) freeBlock(addr int64, order int) {
 	p.free += int64(1) << order
 	p.stats.Frees++
 	for order < p.maxOrder {
 		buddy := addr ^ int64(1)<<order
-		if !p.orders[order].Delete(buddy) {
+		if !p.orders[order].Remove(buddy >> order) {
 			break
 		}
 		if buddy < addr {
@@ -160,7 +165,9 @@ func (p *Policy) freeBlock(addr int64, order int) {
 		order++
 		p.stats.Coalesces++
 	}
-	p.orders[order].Set(addr, struct{}{})
+	if !p.orders[order].Add(addr >> order) {
+		panic(fmt.Sprintf("buddy: free of already-free block at %d (order %d)", addr, order))
+	}
 }
 
 // NewFile implements alloc.Policy. The buddy policy ignores the size hint:

@@ -1,6 +1,7 @@
 package buddy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -266,5 +267,70 @@ func TestBlockAlignment(t *testing.T) {
 		if !units.IsAligned(b.addr, size) {
 			t.Fatalf("block at %d size %d misaligned", b.addr, size)
 		}
+	}
+}
+
+// TestDoubleFreePanics frees an allocated block twice. Its buddy stays
+// allocated, so the first free cannot coalesce and the second finds the
+// block still free at its order.
+func TestDoubleFreePanics(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		order int
+		upper bool // free the upper buddy of the pair instead of the lower
+		want  string
+	}{
+		{"unit block", 0, false, "buddy: free of already-free block at 0 (order 0)"},
+		{"order-3 block", 3, false, "buddy: free of already-free block at 0 (order 3)"},
+		{"upper buddy", 5, true, "buddy: free of already-free block at 32 (order 5)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := newPolicy(t, 1<<10)
+			var pair [2]int64
+			for i := range pair {
+				addr, err := p.allocBlock(c.order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pair[i] = addr
+			}
+			victim := pair[0]
+			if c.upper {
+				victim = pair[1]
+			}
+			p.freeBlock(victim, c.order)
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != c.want {
+					t.Fatalf("second free panicked with %v, want %q", r, c.want)
+				}
+			}()
+			p.freeBlock(victim, c.order)
+		})
+	}
+}
+
+// TestAllocFreeAllocatesNothing: taking a block (splitting on the way)
+// and freeing it (coalescing back) touches only the per-order bitmaps.
+func TestAllocFreeAllocatesNothing(t *testing.T) {
+	p := newPolicy(t, 1<<20)
+	held, err := p.allocBlock(4) // keeps the coalesce chain from reaching the top
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		addr, err := p.allocBlock(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.freeBlock(addr, order)
+		order = (order + 3) % 12
+	})
+	if allocs != 0 {
+		t.Fatalf("allocBlock/freeBlock: %v allocs per cycle, want 0", allocs)
+	}
+	p.freeBlock(held, 4)
+	if p.FreeUnits() != 1<<20 {
+		t.Fatalf("FreeUnits = %d after the cycle, want %d", p.FreeUnits(), 1<<20)
 	}
 }

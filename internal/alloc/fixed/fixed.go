@@ -8,14 +8,15 @@
 // files out contiguously — but frees push blocks back on the *head* of the
 // list, so as the system ages, logically sequential blocks of a file
 // scatter across the disk exactly as in the V7 file system the paper
-// describes [THOM78]. An AddressOrdered mode is provided for ablations.
+// describes [THOM78]. An AddressOrdered mode, which keeps free blocks in a
+// bitmap and always takes the lowest, is provided for ablations.
 package fixed
 
 import (
 	"fmt"
 
 	"rofs/internal/alloc"
-	"rofs/internal/container/rbtree"
+	"rofs/internal/container/bitset"
 )
 
 // Order selects the free-list discipline.
@@ -41,9 +42,10 @@ type Config struct {
 type Policy struct {
 	cfg     Config
 	nBlocks int64
-	// LIFO mode: a stack of free block indices. Address mode: a tree.
+	// LIFO mode: a stack of free block indices. Address mode: a bitmap
+	// whose member b is free block b.
 	stack  []int64
-	sorted *rbtree.Tree[int64, struct{}]
+	sorted *bitset.Set
 	free   int64 // free blocks
 	stats  alloc.OpStats
 }
@@ -66,9 +68,9 @@ func New(cfg Config) (*Policy, error) {
 	}
 	p.free = p.nBlocks
 	if cfg.Order == AddressOrdered {
-		p.sorted = rbtree.New[int64, struct{}](func(a, b int64) bool { return a < b })
+		p.sorted = bitset.New(p.nBlocks)
 		for b := int64(0); b < p.nBlocks; b++ {
-			p.sorted.Set(b, struct{}{})
+			p.sorted.Add(b)
 		}
 	} else {
 		// Push in reverse so a fresh system pops ascending addresses.
@@ -108,7 +110,8 @@ func (p *Policy) allocBlock() (int64, error) {
 	}
 	var b int64
 	if p.cfg.Order == AddressOrdered {
-		b, _, _ = p.sorted.DeleteMin()
+		b, _ = p.sorted.Next(0)
+		p.sorted.Remove(b)
 	} else {
 		b = p.stack[len(p.stack)-1]
 		p.stack = p.stack[:len(p.stack)-1]
@@ -118,9 +121,14 @@ func (p *Policy) allocBlock() (int64, error) {
 	return b, nil
 }
 
+// freeBlock returns block b. In AddressOrdered mode freeing a block that
+// is already free is a double free and panics; the LIFO stack cannot tell.
 func (p *Policy) freeBlock(b int64) {
 	if p.cfg.Order == AddressOrdered {
-		p.sorted.Set(b, struct{}{})
+		if !p.sorted.Add(b) {
+			panic(fmt.Sprintf("%s: free of already-free block at %d (block %d)",
+				p.Name(), b*p.cfg.BlockUnits, b))
+		}
 	} else {
 		p.stack = append(p.stack, b)
 	}

@@ -1,6 +1,7 @@
 package fixed
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -166,5 +167,39 @@ func TestRandomizedConservation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDoubleFreePanics frees an allocated block twice in address-ordered
+// mode, whose bitmap sees the block is already free.
+func TestDoubleFreePanics(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		blockUnits int64
+		take       int // blocks allocated; the last one is freed twice
+		want       string
+	}{
+		{"first block", 4, 1, "fixed(4u): free of already-free block at 0 (block 0)"},
+		{"later block", 16, 3, "fixed(16u): free of already-free block at 32 (block 2)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := New(Config{TotalUnits: 1024, BlockUnits: c.blockUnits, Order: AddressOrdered})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b int64
+			for i := 0; i < c.take; i++ {
+				if b, err = p.allocBlock(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.freeBlock(b)
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != c.want {
+					t.Fatalf("second free panicked with %v, want %q", r, c.want)
+				}
+			}()
+			p.freeBlock(b)
+		})
 	}
 }

@@ -7,11 +7,12 @@
 // contiguously whenever possible, so even files built from small blocks
 // can be read with few seeks.
 //
-// Free space is managed per size class with address-sorted sets (the
-// paper's sorted circular free lists / top-level bitmap), with generalized
-// buddy semantics: a block of size N always starts at a multiple of N,
-// larger free blocks are split on demand, and whenever every sibling of a
-// parent block is free the siblings coalesce back into the parent.
+// Free space is one bitmap per size class, searched in address order: the
+// paper keeps a bitmap over the maximal blocks and sorted free lists for
+// the smaller ones, and one bit per block serves every class. Generalized
+// buddy semantics hold: a block of size N always starts at a multiple of
+// N, larger free blocks are split on demand, and whenever every sibling of
+// a parent block is free the siblings coalesce back into the parent.
 //
 // A clustered configuration divides the disk into fixed bookkeeping
 // regions (32M in the paper) and applies the paper's region-selection
@@ -30,7 +31,7 @@ import (
 	"fmt"
 
 	"rofs/internal/alloc"
-	"rofs/internal/container/rbtree"
+	"rofs/internal/container/bitset"
 	"rofs/internal/units"
 )
 
@@ -98,12 +99,11 @@ func (c *Config) validate() error {
 type Policy struct {
 	cfg   Config
 	sizes []int64
-	// trees[c] holds the start addresses of free blocks of size sizes[c],
-	// in address order — the paper's sorted free lists (and, for the
-	// largest class, its top-level bitmap).
-	trees []*rbtree.Tree[int64, struct{}]
-	free  int64
-	stats alloc.OpStats
+	// classes[c] is the free map of blocks of size sizes[c]: member k is
+	// the free block at k·sizes[c].
+	classes []*bitset.Set
+	free    int64
+	stats   alloc.OpStats
 
 	nRegions      int
 	lastSatisfied int // region index of the last satisfied request
@@ -118,9 +118,9 @@ func New(cfg Config) (*Policy, error) {
 		return nil, err
 	}
 	p := &Policy{cfg: cfg, sizes: cfg.SizesUnits}
-	p.trees = make([]*rbtree.Tree[int64, struct{}], len(p.sizes))
-	for i := range p.trees {
-		p.trees[i] = rbtree.New[int64, struct{}](func(a, b int64) bool { return a < b })
+	p.classes = make([]*bitset.Set, len(p.sizes))
+	for c, size := range p.sizes {
+		p.classes[c] = bitset.New(cfg.TotalUnits / size)
 	}
 	if cfg.Clustered {
 		p.nRegions = int(units.CeilDiv(cfg.TotalUnits, cfg.RegionUnits))
@@ -137,7 +137,7 @@ func New(cfg Config) (*Policy, error) {
 				break
 			}
 		}
-		p.trees[c].Set(addr, struct{}{})
+		p.classes[c].Add(addr / p.sizes[c])
 		p.free += p.sizes[c]
 		addr += p.sizes[c]
 	}
@@ -162,9 +162,9 @@ func (p *Policy) FreeUnits() int64 { return p.free }
 // FreeBlockCounts returns how many free blocks exist per size class — a
 // diagnostic for the compactness the paper claims for this free map.
 func (p *Policy) FreeBlockCounts() []int {
-	out := make([]int, len(p.trees))
-	for i, t := range p.trees {
-		out[i] = t.Len()
+	out := make([]int, len(p.classes))
+	for c, set := range p.classes {
+		out[c] = set.Len()
 	}
 	return out
 }
@@ -174,8 +174,8 @@ func (p *Policy) FreeBlockCounts() []int {
 // with a free block.
 func (p *Policy) FreeSpaceStats() alloc.FreeSpaceStats {
 	var st alloc.FreeSpaceStats
-	for c, t := range p.trees {
-		if n := t.Len(); n > 0 {
+	for c, set := range p.classes {
+		if n := set.Len(); n > 0 {
 			st.Fragments += int64(n)
 			st.LargestUnits = p.sizes[c]
 		}
@@ -206,23 +206,24 @@ func (p *Policy) regionBounds(r int) (lo, hi int64) {
 // the first block at address >= hint (then wrapping to lo). It does not
 // remove the block.
 func (p *Policy) findExact(c int, lo, hi, hint int64) (int64, bool) {
-	tree := p.trees[c]
-	scan := func(from, to int64) (int64, bool) {
-		found, ok := int64(0), false
-		tree.AscendFrom(from, func(k int64, _ struct{}) bool {
-			if k < to {
-				found, ok = k, true
-			}
-			return false
-		})
-		return found, ok
-	}
 	if hint > lo && hint < hi {
-		if addr, ok := scan(hint, hi); ok {
+		if addr, ok := p.firstFrom(c, hint, hi); ok {
 			return addr, true
 		}
 	}
-	return scan(lo, hi)
+	return p.firstFrom(c, lo, hi)
+}
+
+// firstFrom returns the lowest free class-c block in [from, to). Blocks
+// start at multiples of the class size, so the first one at or after from
+// is member ceil(from/size).
+func (p *Policy) firstFrom(c int, from, to int64) (int64, bool) {
+	size := p.sizes[c]
+	k, ok := p.classes[c].Next(units.CeilDiv(from, size))
+	if !ok || k*size >= to {
+		return 0, false
+	}
+	return k * size, true
 }
 
 // findLarger returns a free block of the smallest class > c within
@@ -240,13 +241,14 @@ func (p *Policy) findLarger(c int, lo, hi, hint int64) (int64, int, bool) {
 // lowest child of class c is allocated; the remaining siblings at each
 // level become free blocks. It returns the allocated address.
 func (p *Policy) take(addr int64, s, c int) int64 {
-	if !p.trees[s].Delete(addr) {
+	if !p.classes[s].Remove(addr / p.sizes[s]) {
 		panic(fmt.Sprintf("rbuddy: take of absent block %d class %d", addr, s))
 	}
 	for l := s - 1; l >= c; l-- {
 		count := p.sizes[l+1] / p.sizes[l]
-		for k := int64(1); k < count; k++ {
-			p.trees[l].Set(addr+k*p.sizes[l], struct{}{})
+		first := addr / p.sizes[l]
+		for k := first + 1; k < first+count; k++ {
+			p.classes[l].Add(k)
 		}
 	}
 	p.free -= p.sizes[c]
@@ -262,26 +264,25 @@ func (p *Policy) claimAt(addr int64, c int) bool {
 	if addr < 0 || addr+p.sizes[c] > p.cfg.TotalUnits {
 		return false
 	}
-	if p.trees[c].Delete(addr) {
+	if p.classes[c].Remove(addr / p.sizes[c]) {
 		p.free -= p.sizes[c]
 		p.stats.Allocs++
 		p.lastSatisfied = p.region(addr)
 		return true
 	}
 	for s := c + 1; s < len(p.sizes); s++ {
-		base := units.RoundDown(addr, p.sizes[s])
-		if !p.trees[s].Delete(base) {
+		if !p.classes[s].Remove(addr / p.sizes[s]) {
 			continue
 		}
 		// Split down level by level, keeping the child containing addr and
 		// freeing its siblings.
 		for l := s - 1; l >= c; l-- {
-			parent := units.RoundDown(addr, p.sizes[l+1])
-			keep := units.RoundDown(addr, p.sizes[l])
+			first := units.RoundDown(addr, p.sizes[l+1]) / p.sizes[l]
+			keep := addr / p.sizes[l]
 			count := p.sizes[l+1] / p.sizes[l]
-			for k := int64(0); k < count; k++ {
-				if child := parent + k*p.sizes[l]; child != keep {
-					p.trees[l].Set(child, struct{}{})
+			for k := first; k < first+count; k++ {
+				if k != keep {
+					p.classes[l].Add(k)
 				}
 			}
 		}
@@ -343,9 +344,14 @@ func (p *Policy) allocBlock(c int, lastEnd int64, fdRegion int) (int64, error) {
 }
 
 // freeBlock returns a class-c block and coalesces complete sibling sets
-// back into their parents, level by level.
+// back into their parents, level by level. Freeing a block that is still
+// free at its own class is a double free and panics; one already merged
+// into a free parent is not detected.
 func (p *Policy) freeBlock(addr int64, c int) {
-	p.trees[c].Set(addr, struct{}{})
+	if !p.classes[c].Add(addr / p.sizes[c]) {
+		panic(fmt.Sprintf("rbuddy: free of already-free block at %d (class %d, %d units)",
+			addr, c, p.sizes[c]))
+	}
 	p.free += p.sizes[c]
 	p.stats.Frees++
 	for c < len(p.sizes)-1 {
@@ -355,9 +361,10 @@ func (p *Policy) freeBlock(addr int64, c int) {
 			break // a tail parent that can never be whole
 		}
 		count := parentSize / p.sizes[c]
+		first := base / p.sizes[c]
 		complete := true
-		for k := int64(0); k < count; k++ {
-			if !p.trees[c].Contains(base + k*p.sizes[c]) {
+		for k := first; k < first+count; k++ {
+			if !p.classes[c].Contains(k) {
 				complete = false
 				break
 			}
@@ -365,13 +372,13 @@ func (p *Policy) freeBlock(addr int64, c int) {
 		if !complete {
 			break
 		}
-		for k := int64(0); k < count; k++ {
-			p.trees[c].Delete(base + k*p.sizes[c])
+		for k := first; k < first+count; k++ {
+			p.classes[c].Remove(k)
 		}
 		addr = base
 		c++
 		p.stats.Coalesces++
-		p.trees[c].Set(addr, struct{}{})
+		p.classes[c].Add(addr / p.sizes[c])
 	}
 }
 

@@ -1,6 +1,7 @@
 package rbuddy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -365,6 +366,79 @@ func TestBlockAlignmentInvariant(t *testing.T) {
 			if b.addr%size != 0 {
 				t.Fatalf("block at %d size %d misaligned", b.addr, size)
 			}
+		}
+	}
+}
+
+// TestDoubleFreePanics frees an allocated block twice. A sibling stays
+// allocated, so the first free cannot coalesce and the second finds the
+// block still free in its class.
+func TestDoubleFreePanics(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		clustered bool
+		class     int
+		want      string
+	}{
+		{"class 0", false, 0, "rbuddy: free of already-free block at 0 (class 0, 1 units)"},
+		{"class 1", false, 1, "rbuddy: free of already-free block at 0 (class 1, 8 units)"},
+		{"clustered class 2", true, 2, "rbuddy: free of already-free block at 0 (class 2, 64 units)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{TotalUnits: 1 << 12, SizesUnits: []int64{1, 8, 64, 512}}
+			if c.clustered {
+				cfg.Clustered, cfg.RegionUnits = true, 1024
+			}
+			p := newPolicy(t, cfg)
+			first, err := p.allocBlock(c.class, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.allocBlock(c.class, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			p.freeBlock(first, c.class)
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != c.want {
+					t.Fatalf("second free panicked with %v, want %q", r, c.want)
+				}
+			}()
+			p.freeBlock(first, c.class)
+		})
+	}
+}
+
+// TestAllocFreeAllocatesNothing: allocating a block of each class (split
+// from larger free blocks, through every region-selection step) and
+// freeing it (coalescing back) touches only the per-class bitmaps.
+func TestAllocFreeAllocatesNothing(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		cfg := Config{TotalUnits: 1 << 20, SizesUnits: sizes5}
+		if clustered {
+			cfg.Clustered, cfg.RegionUnits = true, 32768
+		}
+		p := newPolicy(t, cfg)
+		held, err := p.allocBlock(0, 0, 0) // keeps coalescing from reaching the top
+		if err != nil {
+			t.Fatal(err)
+		}
+		class, lastEnd := 0, int64(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			addr, err := p.allocBlock(class, lastEnd, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.freeBlock(addr, class)
+			class = (class + 1) % len(sizes5)
+			lastEnd = (lastEnd + 77777) % cfg.TotalUnits
+		})
+		if allocs != 0 {
+			t.Fatalf("clustered=%v: allocBlock/freeBlock: %v allocs per cycle, want 0", clustered, allocs)
+		}
+		p.freeBlock(held, 0)
+		if p.FreeUnits() != p.TotalUnits() {
+			t.Fatalf("clustered=%v: FreeUnits = %d after the cycle, want %d",
+				clustered, p.FreeUnits(), p.TotalUnits())
 		}
 	}
 }

@@ -9,6 +9,11 @@
 // red-black index for exact best-fit. All mutations keep both indexes and
 // the aggregate free count in sync, and adjacent runs are coalesced
 // eagerly so the map always holds maximal runs.
+//
+// Both indexes keep their nodes in one slice each, linked by int32 index,
+// and recycle a removed node's slot on the next insert: once the number of
+// runs stops growing, allocating and freeing space allocates no memory,
+// and the garbage collector never scans the nodes.
 package freelist
 
 import (
@@ -26,17 +31,7 @@ type node struct {
 	run         Run
 	pri         uint64 // treap heap priority
 	maxLen      int64  // max run length in this subtree
-	left, right *node
-}
-
-func (n *node) fix() {
-	n.maxLen = n.run.Len
-	if n.left != nil && n.left.maxLen > n.maxLen {
-		n.maxLen = n.left.maxLen
-	}
-	if n.right != nil && n.right.maxLen > n.maxLen {
-		n.maxLen = n.right.maxLen
-	}
+	left, right int32  // slab indices; 0 is nil
 }
 
 // sizeKey orders the best-fit index by (length, address).
@@ -53,7 +48,9 @@ func sizeLess(a, b sizeKey) bool {
 
 // T is a free-run map. Create with New.
 type T struct {
-	root      *node
+	nodes     []node // treap slab; nodes[0] is the nil sentinel (maxLen 0)
+	root      int32
+	freeSlot  int32 // head of the recycled-slot list, linked through left
 	bySize    *rbtree.Tree[sizeKey, struct{}]
 	free      int64
 	count     int
@@ -65,6 +62,7 @@ type T struct {
 // generator so runs are reproducible.
 func New() *T {
 	return &T{
+		nodes:  make([]node, 1),
 		bySize: rbtree.New[sizeKey, struct{}](sizeLess),
 		seed:   0x9E3779B97F4A7C15,
 	}
@@ -89,12 +87,7 @@ func (t *T) Runs() int { return t.count }
 func (t *T) Coalesces() int64 { return t.coalesces }
 
 // MaxRun returns the length of the longest free run (0 when empty).
-func (t *T) MaxRun() int64 {
-	if t.root == nil {
-		return 0
-	}
-	return t.root.maxLen
-}
+func (t *T) MaxRun() int64 { return t.nodes[t.root].maxLen }
 
 // Insert adds the free run [addr, addr+len), coalescing with neighbours.
 // It panics if the run overlaps existing free space — freeing space twice
@@ -157,18 +150,26 @@ func (t *T) ContainingRun(addr int64) (Run, bool) { return t.containing(addr) }
 
 // FirstFit returns the lowest-addressed free run with length >= n.
 func (t *T) FirstFit(n int64) (Run, bool) {
-	cur := t.root
-	for cur != nil {
-		if cur.left != nil && cur.left.maxLen >= n {
-			cur = cur.left
-			continue
-		}
-		if cur.run.Len >= n {
-			return cur.run, true
-		}
-		cur = cur.right
+	if t.root == 0 {
+		return Run{}, false
 	}
-	return Run{}, false
+	ns := t.nodes
+	c := &ns[t.root]
+	for {
+		if c.left != 0 {
+			if l := &ns[c.left]; l.maxLen >= n {
+				c = l
+				continue
+			}
+		}
+		if c.run.Len >= n {
+			return c.run, true
+		}
+		if c.right == 0 {
+			return Run{}, false
+		}
+		c = &ns[c.right]
+	}
 }
 
 // BestFit returns the shortest free run with length >= n (lowest address
@@ -190,33 +191,35 @@ func (t *T) NextFit(n, from int64) (Run, bool) {
 	return t.FirstFit(n)
 }
 
-func (t *T) firstFitFrom(cur *node, n, from int64) (Run, bool) {
-	for cur != nil {
-		if cur.run.Addr < from {
-			cur = cur.right
+func (t *T) firstFitFrom(cur int32, n, from int64) (Run, bool) {
+	ns := t.nodes
+	for cur != 0 {
+		c := &ns[cur]
+		if c.run.Addr < from {
+			cur = c.right
 			continue
 		}
-		if cur.left != nil && cur.left.maxLen >= n {
-			if r, ok := t.firstFitFrom(cur.left, n, from); ok {
+		if c.left != 0 && ns[c.left].maxLen >= n {
+			if r, ok := t.firstFitFrom(c.left, n, from); ok {
 				return r, true
 			}
 		}
-		if cur.run.Len >= n {
-			return cur.run, true
+		if c.run.Len >= n {
+			return c.run, true
 		}
-		cur = cur.right
+		cur = c.right
 	}
 	return Run{}, false
 }
 
 // Ascend visits runs in address order until fn returns false.
 func (t *T) Ascend(fn func(Run) bool) {
-	var walk func(*node) bool
-	walk = func(n *node) bool {
-		if n == nil {
+	var walk func(int32) bool
+	walk = func(n int32) bool {
+		if n == 0 {
 			return true
 		}
-		return walk(n.left) && fn(n.run) && walk(n.right)
+		return walk(t.nodes[n].left) && fn(t.nodes[n].run) && walk(t.nodes[n].right)
 	}
 	walk(t.root)
 }
@@ -224,7 +227,9 @@ func (t *T) Ascend(fn func(Run) bool) {
 // --- internal treap machinery ---
 
 func (t *T) add(r Run) {
-	t.root = t.insertNode(t.root, &node{run: r, pri: t.nextPri(), maxLen: r.Len})
+	// The slot is taken before descending: insertNode never grows the slab.
+	i := t.newNode(r)
+	t.root = t.insertNode(t.root, i)
 	t.bySize.Set(sizeKey{r.Len, r.Addr}, struct{}{})
 	t.free += r.Len
 	t.count++
@@ -239,106 +244,137 @@ func (t *T) remove(r Run) {
 	t.count--
 }
 
-func (t *T) insertNode(cur, n *node) *node {
-	if cur == nil {
+func (t *T) newNode(r Run) int32 {
+	n := node{run: r, pri: t.nextPri(), maxLen: r.Len}
+	if i := t.freeSlot; i != 0 {
+		t.freeSlot = t.nodes[i].left
+		t.nodes[i] = n
+		return i
+	}
+	t.nodes = append(t.nodes, n)
+	return int32(len(t.nodes) - 1)
+}
+
+func (t *T) release(i int32) {
+	t.nodes[i] = node{left: t.freeSlot}
+	t.freeSlot = i
+}
+
+// fix recomputes i's subtree maximum; the sentinel's maxLen of 0 stands in
+// for a missing child.
+func (t *T) fix(i int32) {
+	ns := t.nodes
+	n := &ns[i]
+	m := n.run.Len
+	if l := ns[n.left].maxLen; l > m {
+		m = l
+	}
+	if r := ns[n.right].maxLen; r > m {
+		m = r
+	}
+	n.maxLen = m
+}
+
+func (t *T) insertNode(cur, n int32) int32 {
+	if cur == 0 {
 		return n
 	}
-	if n.run.Addr == cur.run.Addr {
-		panic(fmt.Sprintf("freelist: duplicate run address %d", n.run.Addr))
+	ns := t.nodes
+	c, addr := &ns[cur], ns[n].run.Addr
+	if addr == c.run.Addr {
+		panic(fmt.Sprintf("freelist: duplicate run address %d", addr))
 	}
-	if n.run.Addr < cur.run.Addr {
-		cur.left = t.insertNode(cur.left, n)
-		if cur.left.pri > cur.pri {
-			cur = rotateRight(cur)
+	if addr < c.run.Addr {
+		c.left = t.insertNode(c.left, n)
+		if ns[c.left].pri > c.pri {
+			cur = t.rotateRight(cur)
 		}
 	} else {
-		cur.right = t.insertNode(cur.right, n)
-		if cur.right.pri > cur.pri {
-			cur = rotateLeft(cur)
+		c.right = t.insertNode(c.right, n)
+		if ns[c.right].pri > c.pri {
+			cur = t.rotateLeft(cur)
 		}
 	}
-	cur.fix()
+	t.fix(cur)
 	return cur
 }
 
-func (t *T) deleteNode(cur *node, addr int64) *node {
-	if cur == nil {
+func (t *T) deleteNode(cur int32, addr int64) int32 {
+	if cur == 0 {
 		panic(fmt.Sprintf("freelist: delete of absent address %d", addr))
 	}
+	ns := t.nodes
+	c := &ns[cur]
 	switch {
-	case addr < cur.run.Addr:
-		cur.left = t.deleteNode(cur.left, addr)
-	case addr > cur.run.Addr:
-		cur.right = t.deleteNode(cur.right, addr)
+	case addr < c.run.Addr:
+		c.left = t.deleteNode(c.left, addr)
+	case addr > c.run.Addr:
+		c.right = t.deleteNode(c.right, addr)
 	default:
-		if cur.left == nil {
-			return cur.right
+		if c.left == 0 || c.right == 0 {
+			child := c.left | c.right
+			t.release(cur)
+			return child
 		}
-		if cur.right == nil {
-			return cur.left
-		}
-		if cur.left.pri > cur.right.pri {
-			cur = rotateRight(cur)
-			cur.right = t.deleteNode(cur.right, addr)
+		if ns[c.left].pri > ns[c.right].pri {
+			cur = t.rotateRight(cur)
+			ns[cur].right = t.deleteNode(ns[cur].right, addr)
 		} else {
-			cur = rotateLeft(cur)
-			cur.left = t.deleteNode(cur.left, addr)
+			cur = t.rotateLeft(cur)
+			ns[cur].left = t.deleteNode(ns[cur].left, addr)
 		}
 	}
-	cur.fix()
+	t.fix(cur)
 	return cur
 }
 
-func rotateRight(h *node) *node {
-	x := h.left
-	h.left = x.right
-	x.right = h
-	h.fix()
-	x.fix()
+func (t *T) rotateRight(h int32) int32 {
+	ns := t.nodes
+	x := ns[h].left
+	ns[h].left = ns[x].right
+	ns[x].right = h
+	t.fix(h)
+	t.fix(x)
 	return x
 }
 
-func rotateLeft(h *node) *node {
-	x := h.right
-	h.right = x.left
-	x.left = h
-	h.fix()
-	x.fix()
+func (t *T) rotateLeft(h int32) int32 {
+	ns := t.nodes
+	x := ns[h].right
+	ns[h].right = ns[x].left
+	ns[x].left = h
+	t.fix(h)
+	t.fix(x)
 	return x
 }
 
+// floor and ceiling return the sentinel's zero Run when nothing matches.
 func (t *T) floor(addr int64) (Run, bool) {
-	var best *node
-	cur := t.root
-	for cur != nil {
-		if cur.run.Addr <= addr {
+	ns := t.nodes
+	best := int32(0)
+	for cur := t.root; cur != 0; {
+		if ns[cur].run.Addr <= addr {
 			best = cur
-			cur = cur.right
+			cur = ns[cur].right
 		} else {
-			cur = cur.left
+			cur = ns[cur].left
 		}
 	}
-	if best == nil {
-		return Run{}, false
-	}
-	return best.run, true
+	return ns[best].run, best != 0
 }
 
 func (t *T) ceiling(addr int64) (Run, bool) {
-	var best *node
-	cur := t.root
-	for cur != nil {
-		if cur.run.Addr >= addr {
+	ns := t.nodes
+	best := int32(0)
+	for cur := t.root; cur != 0; {
+		if ns[cur].run.Addr >= addr {
 			best = cur
-			cur = cur.left
+			cur = ns[cur].left
 		} else {
-			cur = cur.right
+			cur = ns[cur].right
 		}
 	}
-	if best == nil {
-		return Run{}, false
-	}
-	return best.run, true
+	return ns[best].run, best != 0
 }
 
 // containing returns the run that covers addr, if any.

@@ -310,6 +310,44 @@ func TestRandomizedAgainstReference(t *testing.T) {
 	}
 }
 
+// TestSteadySizeAllocatesNothing: once the map's run count stops growing,
+// carving space out and freeing it back (coalescing) reuses the treap's
+// and the size index's recycled node slots, so the slab stops growing.
+func TestSteadySizeAllocatesNothing(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		pick func(fl *T, n int64) (Run, bool)
+	}{
+		{"first-fit", (*T).FirstFit},
+		{"best-fit", (*T).BestFit},
+	} {
+		fl := fragmented(1024)
+		slab := len(fl.nodes)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			need := int64(1 + i%9)
+			i++
+			r, ok := mode.pick(fl, need)
+			if !ok {
+				t.Fatal("no fit")
+			}
+			// Carve the run's middle (splitting it in two), then its tail.
+			for _, at := range []int64{r.Addr + (r.Len-need)/2, r.Addr + r.Len - need} {
+				fl.Alloc(at, need)
+				fl.Insert(at, need)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Alloc+Insert cycle: %v allocs, want 0", mode.name, allocs)
+		}
+		// A middle carve holds one extra run until its Insert coalesces.
+		if len(fl.nodes) > slab+1 {
+			t.Fatalf("%s: slab grew from %d to %d slots; removed runs' slots are not reused",
+				mode.name, slab, len(fl.nodes))
+		}
+	}
+}
+
 func BenchmarkFirstFit(b *testing.B) {
 	fl := New()
 	rng := rand.New(rand.NewSource(3))

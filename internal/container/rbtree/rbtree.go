@@ -1,25 +1,30 @@
 // Package rbtree implements a generic left-leaning red-black tree
-// (Sedgewick 2008): an ordered map with O(log n) insert, delete, lookup,
-// and ordered navigation (floor, ceiling, min, max, range iteration).
+// (Sedgewick 2008): an ordered map with O(log n) insert, delete, lookup
+// and ceiling search.
 //
-// The allocation policies use it for free-space management: the extent
-// policy keeps one tree keyed by address (for first-fit scans and boundary
-// coalescing) and one keyed by (size, address) (for best-fit), and the
-// restricted buddy policy keeps per-size free lists sorted by address.
+// The extent policy's free-space map (package freelist) uses it as its
+// (length, address) index for exact best-fit.
 package rbtree
 
 // Tree is an ordered map from K to V. Create one with New; the zero value
 // is not usable because it lacks a comparator.
+//
+// Nodes live in one slice and link by int32 index; a deleted node's slot
+// is recycled by the next insert, so a tree whose size has reached a
+// steady state allocates nothing, and with pointer-free keys and values
+// the garbage collector never scans it.
 type Tree[K, V any] struct {
-	root *node[K, V]
-	less func(a, b K) bool
-	size int
+	nodes []node[K, V] // nodes[0] is the nil sentinel: black, zero key and value
+	root  int32
+	free  int32 // head of the recycled-slot list, linked through left
+	less  func(a, b K) bool
+	size  int
 }
 
 type node[K, V any] struct {
 	key         K
 	val         V
-	left, right *node[K, V]
+	left, right int32
 	red         bool
 }
 
@@ -28,88 +33,111 @@ func New[K, V any](less func(a, b K) bool) *Tree[K, V] {
 	if less == nil {
 		panic("rbtree: nil comparator")
 	}
-	return &Tree[K, V]{less: less}
+	return &Tree[K, V]{nodes: make([]node[K, V], 1), less: less}
 }
 
 // Len returns the number of keys in the tree.
 func (t *Tree[K, V]) Len() int { return t.size }
 
-func isRed[K, V any](n *node[K, V]) bool { return n != nil && n.red }
+func isRed[K, V any](ns []node[K, V], i int32) bool { return ns[i].red }
 
-func rotateLeft[K, V any](h *node[K, V]) *node[K, V] {
-	x := h.right
-	h.right = x.left
-	x.left = h
-	x.red = h.red
-	h.red = true
+// newNode takes a slot for a red node holding key and v, recycling a
+// deleted node's slot when there is one.
+func (t *Tree[K, V]) newNode(key K, v V) int32 {
+	n := node[K, V]{key: key, val: v, red: true}
+	if i := t.free; i != 0 {
+		t.free = t.nodes[i].left
+		t.nodes[i] = n
+		return i
+	}
+	t.nodes = append(t.nodes, n)
+	return int32(len(t.nodes) - 1)
+}
+
+func (t *Tree[K, V]) release(i int32) {
+	t.nodes[i] = node[K, V]{left: t.free}
+	t.free = i
+}
+
+func rotateLeft[K, V any](ns []node[K, V], h int32) int32 {
+	x := ns[h].right
+	ns[h].right = ns[x].left
+	ns[x].left = h
+	ns[x].red = ns[h].red
+	ns[h].red = true
 	return x
 }
 
-func rotateRight[K, V any](h *node[K, V]) *node[K, V] {
-	x := h.left
-	h.left = x.right
-	x.right = h
-	x.red = h.red
-	h.red = true
+func rotateRight[K, V any](ns []node[K, V], h int32) int32 {
+	x := ns[h].left
+	ns[h].left = ns[x].right
+	ns[x].right = h
+	ns[x].red = ns[h].red
+	ns[h].red = true
 	return x
 }
 
-func flipColors[K, V any](h *node[K, V]) {
-	h.red = !h.red
-	h.left.red = !h.left.red
-	h.right.red = !h.right.red
+func flipColors[K, V any](ns []node[K, V], h int32) {
+	ns[h].red = !ns[h].red
+	ns[ns[h].left].red = !ns[ns[h].left].red
+	ns[ns[h].right].red = !ns[ns[h].right].red
 }
 
-func fixUp[K, V any](h *node[K, V]) *node[K, V] {
-	if isRed(h.right) && !isRed(h.left) {
-		h = rotateLeft(h)
+func fixUp[K, V any](ns []node[K, V], h int32) int32 {
+	if isRed(ns, ns[h].right) && !isRed(ns, ns[h].left) {
+		h = rotateLeft(ns, h)
 	}
-	if isRed(h.left) && isRed(h.left.left) {
-		h = rotateRight(h)
+	if l := ns[h].left; isRed(ns, l) && isRed(ns, ns[l].left) {
+		h = rotateRight(ns, h)
 	}
-	if isRed(h.left) && isRed(h.right) {
-		flipColors(h)
+	if isRed(ns, ns[h].left) && isRed(ns, ns[h].right) {
+		flipColors(ns, h)
 	}
 	return h
 }
 
 // Set inserts key with value v, replacing any existing value for key.
 func (t *Tree[K, V]) Set(key K, v V) {
-	t.root = t.insert(t.root, key, v)
-	t.root.red = false
+	// The slot is taken before descending, so the slab never grows under
+	// the recursion (a replaced key gives it back).
+	n := t.newNode(key, v)
+	t.root = t.insert(t.root, n, key)
+	t.nodes[t.root].red = false
 }
 
-func (t *Tree[K, V]) insert(h *node[K, V], key K, v V) *node[K, V] {
-	if h == nil {
+func (t *Tree[K, V]) insert(h, n int32, key K) int32 {
+	if h == 0 {
 		t.size++
-		return &node[K, V]{key: key, val: v, red: true}
+		return n
 	}
+	ns := t.nodes
 	switch {
-	case t.less(key, h.key):
-		h.left = t.insert(h.left, key, v)
-	case t.less(h.key, key):
-		h.right = t.insert(h.right, key, v)
+	case t.less(key, ns[h].key):
+		ns[h].left = t.insert(ns[h].left, n, key)
+	case t.less(ns[h].key, key):
+		ns[h].right = t.insert(ns[h].right, n, key)
 	default:
-		h.val = v
+		ns[h].val = ns[n].val
+		t.release(n)
 	}
-	return fixUp(h)
+	return fixUp(ns, h)
 }
 
 // Get returns the value stored for key.
 func (t *Tree[K, V]) Get(key K) (V, bool) {
+	ns := t.nodes
 	n := t.root
-	for n != nil {
+	for n != 0 {
 		switch {
-		case t.less(key, n.key):
-			n = n.left
-		case t.less(n.key, key):
-			n = n.right
+		case t.less(key, ns[n].key):
+			n = ns[n].left
+		case t.less(ns[n].key, key):
+			n = ns[n].right
 		default:
-			return n.val, true
+			return ns[n].val, true
 		}
 	}
-	var zero V
-	return zero, false
+	return ns[0].val, false
 }
 
 // Contains reports whether key is present.
@@ -118,112 +146,19 @@ func (t *Tree[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// Min returns the smallest key and its value.
-func (t *Tree[K, V]) Min() (K, V, bool) {
-	if t.root == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	n := t.root
-	for n.left != nil {
-		n = n.left
-	}
-	return n.key, n.val, true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[K, V]) Max() (K, V, bool) {
-	if t.root == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	n := t.root
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key, n.val, true
-}
-
 // Ceiling returns the smallest key >= key and its value.
 func (t *Tree[K, V]) Ceiling(key K) (K, V, bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != nil {
-		if t.less(n.key, key) {
-			n = n.right
+	ns := t.nodes
+	best := int32(0)
+	for n := t.root; n != 0; {
+		if t.less(ns[n].key, key) {
+			n = ns[n].right
 		} else {
 			best = n
-			n = n.left
+			n = ns[n].left
 		}
 	}
-	if best == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	return best.key, best.val, true
-}
-
-// Floor returns the largest key <= key and its value.
-func (t *Tree[K, V]) Floor(key K) (K, V, bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != nil {
-		if t.less(key, n.key) {
-			n = n.left
-		} else {
-			best = n
-			n = n.right
-		}
-	}
-	if best == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	return best.key, best.val, true
-}
-
-// Higher returns the smallest key strictly greater than key.
-func (t *Tree[K, V]) Higher(key K) (K, V, bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != nil {
-		if t.less(key, n.key) {
-			best = n
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	if best == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	return best.key, best.val, true
-}
-
-// Lower returns the largest key strictly less than key.
-func (t *Tree[K, V]) Lower(key K) (K, V, bool) {
-	var best *node[K, V]
-	n := t.root
-	for n != nil {
-		if t.less(n.key, key) {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	if best == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	return best.key, best.val, true
+	return ns[best].key, ns[best].val, best != 0
 }
 
 // Delete removes key, reporting whether it was present.
@@ -232,138 +167,73 @@ func (t *Tree[K, V]) Delete(key K) bool {
 		return false
 	}
 	t.root = t.delete(t.root, key)
-	if t.root != nil {
-		t.root.red = false
+	if t.root != 0 {
+		t.nodes[t.root].red = false
 	}
 	t.size--
 	return true
 }
 
-func moveRedLeft[K, V any](h *node[K, V]) *node[K, V] {
-	flipColors(h)
-	if isRed(h.right.left) {
-		h.right = rotateRight(h.right)
-		h = rotateLeft(h)
-		flipColors(h)
+func moveRedLeft[K, V any](ns []node[K, V], h int32) int32 {
+	flipColors(ns, h)
+	if r := ns[h].right; isRed(ns, ns[r].left) {
+		ns[h].right = rotateRight(ns, r)
+		h = rotateLeft(ns, h)
+		flipColors(ns, h)
 	}
 	return h
 }
 
-func moveRedRight[K, V any](h *node[K, V]) *node[K, V] {
-	flipColors(h)
-	if isRed(h.left.left) {
-		h = rotateRight(h)
-		flipColors(h)
+func moveRedRight[K, V any](ns []node[K, V], h int32) int32 {
+	flipColors(ns, h)
+	if l := ns[h].left; isRed(ns, ns[l].left) {
+		h = rotateRight(ns, h)
+		flipColors(ns, h)
 	}
 	return h
 }
 
-func minNode[K, V any](h *node[K, V]) *node[K, V] {
-	for h.left != nil {
-		h = h.left
+func (t *Tree[K, V]) deleteMin(h int32) int32 {
+	ns := t.nodes
+	if ns[h].left == 0 {
+		t.release(h)
+		return 0
 	}
-	return h
+	if l := ns[h].left; !isRed(ns, l) && !isRed(ns, ns[l].left) {
+		h = moveRedLeft(ns, h)
+	}
+	ns[h].left = t.deleteMin(ns[h].left)
+	return fixUp(ns, h)
 }
 
-func deleteMin[K, V any](h *node[K, V]) *node[K, V] {
-	if h.left == nil {
-		return nil
-	}
-	if !isRed(h.left) && !isRed(h.left.left) {
-		h = moveRedLeft(h)
-	}
-	h.left = deleteMin(h.left)
-	return fixUp(h)
-}
-
-func (t *Tree[K, V]) delete(h *node[K, V], key K) *node[K, V] {
-	if t.less(key, h.key) {
-		if !isRed(h.left) && !isRed(h.left.left) {
-			h = moveRedLeft(h)
+func (t *Tree[K, V]) delete(h int32, key K) int32 {
+	ns := t.nodes
+	if t.less(key, ns[h].key) {
+		if l := ns[h].left; !isRed(ns, l) && !isRed(ns, ns[l].left) {
+			h = moveRedLeft(ns, h)
 		}
-		h.left = t.delete(h.left, key)
+		ns[h].left = t.delete(ns[h].left, key)
 	} else {
-		if isRed(h.left) {
-			h = rotateRight(h)
+		if isRed(ns, ns[h].left) {
+			h = rotateRight(ns, h)
 		}
-		if !t.less(h.key, key) && h.right == nil {
-			return nil
+		if !t.less(ns[h].key, key) && ns[h].right == 0 {
+			t.release(h)
+			return 0
 		}
-		if !isRed(h.right) && !isRed(h.right.left) {
-			h = moveRedRight(h)
+		if r := ns[h].right; !isRed(ns, r) && !isRed(ns, ns[r].left) {
+			h = moveRedRight(ns, h)
 		}
-		if !t.less(h.key, key) && !t.less(key, h.key) {
-			m := minNode(h.right)
-			h.key, h.val = m.key, m.val
-			h.right = deleteMin(h.right)
+		if !t.less(ns[h].key, key) && !t.less(key, ns[h].key) {
+			m := ns[h].right
+			for ns[m].left != 0 {
+				m = ns[m].left
+			}
+			ns[h].key, ns[h].val = ns[m].key, ns[m].val
+			ns[h].right = t.deleteMin(ns[h].right)
 		} else {
-			h.right = t.delete(h.right, key)
+			ns[h].right = t.delete(ns[h].right, key)
 		}
 	}
-	return fixUp(h)
-}
-
-// DeleteMin removes and returns the smallest key and its value.
-func (t *Tree[K, V]) DeleteMin() (K, V, bool) {
-	k, v, ok := t.Min()
-	if !ok {
-		return k, v, false
-	}
-	t.root = deleteMin(t.root)
-	if t.root != nil {
-		t.root.red = false
-	}
-	t.size--
-	return k, v, true
-}
-
-// Ascend calls fn for each key/value in ascending order until fn returns
-// false.
-func (t *Tree[K, V]) Ascend(fn func(k K, v V) bool) {
-	t.ascend(t.root, fn)
-}
-
-func (t *Tree[K, V]) ascend(n *node[K, V], fn func(k K, v V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !t.ascend(n.left, fn) {
-		return false
-	}
-	if !fn(n.key, n.val) {
-		return false
-	}
-	return t.ascend(n.right, fn)
-}
-
-// AscendFrom calls fn for each key >= start in ascending order until fn
-// returns false.
-func (t *Tree[K, V]) AscendFrom(start K, fn func(k K, v V) bool) {
-	t.ascendFrom(t.root, start, fn)
-}
-
-func (t *Tree[K, V]) ascendFrom(n *node[K, V], start K, fn func(k K, v V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if t.less(n.key, start) {
-		return t.ascendFrom(n.right, start, fn)
-	}
-	if !t.ascendFrom(n.left, start, fn) {
-		return false
-	}
-	if !fn(n.key, n.val) {
-		return false
-	}
-	return t.ascendFrom(n.right, start, fn)
-}
-
-// Keys returns all keys in ascending order (for tests and debugging).
-func (t *Tree[K, V]) Keys() []K {
-	out := make([]K, 0, t.size)
-	t.Ascend(func(k K, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
+	return fixUp(ns, h)
 }

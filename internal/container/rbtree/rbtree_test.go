@@ -18,20 +18,11 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(1); ok {
 		t.Fatal("Get on empty tree returned ok")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty tree returned ok")
-	}
 	if _, _, ok := tr.Ceiling(0); ok {
 		t.Fatal("Ceiling on empty tree returned ok")
 	}
 	if tr.Delete(1) {
 		t.Fatal("Delete on empty tree returned true")
-	}
-	if _, _, ok := tr.DeleteMin(); ok {
-		t.Fatal("DeleteMin on empty tree returned ok")
 	}
 }
 
@@ -72,24 +63,6 @@ func TestNavigation(t *testing.T) {
 	check("Ceiling(20)", k, ok, 20, true)
 	k, _, ok = tr.Ceiling(41)
 	check("Ceiling(41)", k, ok, 0, false)
-	k, _, ok = tr.Floor(15)
-	check("Floor(15)", k, ok, 10, true)
-	k, _, ok = tr.Floor(10)
-	check("Floor(10)", k, ok, 10, true)
-	k, _, ok = tr.Floor(9)
-	check("Floor(9)", k, ok, 0, false)
-	k, _, ok = tr.Higher(20)
-	check("Higher(20)", k, ok, 30, true)
-	k, _, ok = tr.Higher(40)
-	check("Higher(40)", k, ok, 0, false)
-	k, _, ok = tr.Lower(20)
-	check("Lower(20)", k, ok, 10, true)
-	k, _, ok = tr.Lower(10)
-	check("Lower(10)", k, ok, 0, false)
-	k, _, ok = tr.Min()
-	check("Min", k, ok, 10, true)
-	k, _, ok = tr.Max()
-	check("Max", k, ok, 40, true)
 }
 
 func TestDelete(t *testing.T) {
@@ -108,7 +81,7 @@ func TestDelete(t *testing.T) {
 		t.Fatalf("Len = %d after delete", tr.Len())
 	}
 	want := []int{0, 1, 2, 3, 4, 6, 7, 8, 9}
-	got := tr.Keys()
+	got := inorder(tr)
 	if len(got) != len(want) {
 		t.Fatalf("Keys = %v", got)
 	}
@@ -119,73 +92,47 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestDeleteMin(t *testing.T) {
-	tr := intTree()
-	for _, k := range []int{4, 2, 6} {
-		tr.Set(k, "")
-	}
-	k, _, ok := tr.DeleteMin()
-	if !ok || k != 2 || tr.Len() != 2 {
-		t.Fatalf("DeleteMin = %d, %v, len %d", k, ok, tr.Len())
-	}
-}
-
-func TestAscendEarlyStop(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 10; i++ {
-		tr.Set(i, "")
-	}
-	var seen []int
-	tr.Ascend(func(k int, _ string) bool {
-		seen = append(seen, k)
-		return k < 4
-	})
-	if len(seen) != 5 || seen[4] != 4 {
-		t.Fatalf("early stop visited %v", seen)
-	}
-}
-
-func TestAscendFrom(t *testing.T) {
-	tr := intTree()
-	for i := 0; i < 20; i += 2 {
-		tr.Set(i, "")
-	}
-	var seen []int
-	tr.AscendFrom(7, func(k int, _ string) bool {
-		seen = append(seen, k)
-		return len(seen) < 3
-	})
-	want := []int{8, 10, 12}
-	if len(seen) != 3 {
-		t.Fatalf("AscendFrom visited %v", seen)
-	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("AscendFrom visited %v, want %v", seen, want)
+// inorder returns the tree's keys in ascending order by an in-order walk
+// of the slab.
+func inorder[K, V any](tr *Tree[K, V]) []K {
+	var out []K
+	var walk func(n int32)
+	walk = func(n int32) {
+		if n == 0 {
+			return
 		}
+		walk(tr.nodes[n].left)
+		out = append(out, tr.nodes[n].key)
+		walk(tr.nodes[n].right)
 	}
+	walk(tr.root)
+	return out
 }
 
-// checkInvariants verifies red-black structural invariants: no red node has
-// a red child, no right-leaning red links, and every root-to-leaf path has
-// the same black height. Returns black height.
-func checkInvariants(t *testing.T, n *node[int, string]) int {
+// checkInvariants verifies red-black structural invariants below slab
+// index n: no red node has a red child, no right-leaning red links, and
+// every root-to-leaf path has the same black height. It also checks that
+// nothing wrote the nil sentinel (slot 0). Returns black height.
+func checkInvariants(t *testing.T, tr *Tree[int, string], n int32) int {
 	t.Helper()
-	if n == nil {
+	if s := tr.nodes[0]; s.red || s.left != 0 || s.right != 0 {
+		t.Fatal("nil sentinel was written")
+	}
+	if n == 0 {
 		return 0
 	}
-	if isRed(n.right) {
+	if isRed(tr.nodes, tr.nodes[n].right) {
 		t.Fatal("right-leaning red link")
 	}
-	if isRed(n) && isRed(n.left) {
+	if isRed(tr.nodes, n) && isRed(tr.nodes, tr.nodes[n].left) {
 		t.Fatal("consecutive red links")
 	}
-	lh := checkInvariants(t, n.left)
-	rh := checkInvariants(t, n.right)
+	lh := checkInvariants(t, tr, tr.nodes[n].left)
+	rh := checkInvariants(t, tr, tr.nodes[n].right)
 	if lh != rh {
 		t.Fatalf("black height mismatch: %d vs %d", lh, rh)
 	}
-	if !isRed(n) {
+	if !isRed(tr.nodes, n) {
 		lh++
 	}
 	return lh
@@ -227,11 +174,11 @@ func TestRandomizedAgainstReference(t *testing.T) {
 			t.Fatalf("step %d: Len = %d, want %d", step, tr.Len(), len(ref))
 		}
 		if step%500 == 0 {
-			if tr.root != nil && isRed(tr.root) {
+			if tr.root != 0 && isRed(tr.nodes, tr.root) {
 				t.Fatal("red root")
 			}
-			checkInvariants(t, tr.root)
-			keys := tr.Keys()
+			checkInvariants(t, tr, tr.root)
+			keys := inorder(tr)
 			want := sortedKeys()
 			if len(keys) != len(want) {
 				t.Fatalf("step %d: keys %v want %v", step, keys, want)
@@ -256,6 +203,61 @@ func TestRandomizedAgainstReference(t *testing.T) {
 					step, probe, gotCeil, okGot, wantCeil, okWant)
 			}
 		}
+	}
+}
+
+// TestSteadySizeAllocatesNothing: once a tree has reached its size, a
+// Set of a new key paired with a Delete reuses the deleted node's slot,
+// so the slab stops growing.
+func TestSteadySizeAllocatesNothing(t *testing.T) {
+	tr := New[int, struct{}](func(a, b int) bool { return a < b })
+	for k := 0; k < 1024; k++ {
+		tr.Set(2*k, struct{}{})
+	}
+	slab := len(tr.nodes)
+	k := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Delete(2 * (k % 1024))
+		tr.Set(2*(k%1024)+1, struct{}{})
+		tr.Delete(2*(k%1024) + 1)
+		tr.Set(2*(k%1024), struct{}{})
+		k += 7
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-size Set/Delete cycle: %v allocs, want 0", allocs)
+	}
+	if tr.Len() != 1024 {
+		t.Fatalf("Len = %d, want 1024", tr.Len())
+	}
+	if len(tr.nodes) != slab {
+		t.Fatalf("slab grew from %d to %d slots; deleted slots are not reused", slab, len(tr.nodes))
+	}
+}
+
+// BenchmarkSetDeleteSteady replaces one key per op in a 4,096-key tree:
+// the best-fit index's traffic in an aged extent free map.
+func BenchmarkSetDeleteSteady(b *testing.B) {
+	tr := New[int, struct{}](func(a, b int) bool { return a < b })
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]int, 4096)
+	for i := range keys {
+		keys[i] = rng.Intn(1 << 20)
+		for tr.Contains(keys[i]) {
+			keys[i] = rng.Intn(1 << 20)
+		}
+		tr.Set(keys[i], struct{}{})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(keys)
+		tr.Delete(keys[j])
+		k := rng.Intn(1 << 20)
+		for tr.Contains(k) {
+			k = rng.Intn(1 << 20)
+		}
+		tr.Set(k, struct{}{})
+		keys[j] = k
 	}
 }
 

@@ -2,13 +2,15 @@
 # check_allocs.sh — fail when a pinned benchmark allocates more per op
 # than its budget in bench/allocs_budget.txt allows. The budgets are
 # allocs/op as reported by -benchmem; the engine benchmarks are budgeted
-# at zero, which is what keeps the simulator hot loop allocation-free.
+# at zero, which is what keeps the simulator hot loop allocation-free, and
+# so are the free-space maps' steady-size cycles.
 set -eu
 cd "$(dirname "$0")/.."
 
 budget=bench/allocs_budget.txt
-out=$(go test -run '^$' -bench 'BenchmarkEngine(Throughput|SelfFire|Depth256)$' \
-	-benchmem -benchtime 0.5s . ./internal/sim)
+out=$(go test -run '^$' \
+	-bench '^(BenchmarkEngine(Throughput|SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd)$' \
+	-benchmem -benchtime 0.5s . ./internal/sim ./internal/container/...)
 echo "$out"
 
 fail=0

@@ -55,7 +55,7 @@ echo "$out" | grep -q '16\.316041' || {
 
 echo "check_service: duplicate submission is served from the pool cache"
 out=$("$tmp/rofs-client" run -policy buddy -workload TS -test app 2>&1)
-echo "$out" | grep -q 'cached' || {
+echo "$out" | grep -q 'memory-hit' || {
 	echo "check_service: FAIL: identical resubmission was not cached:" >&2
 	echo "$out" >&2
 	exit 1
