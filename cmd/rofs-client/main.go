@@ -40,8 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"rofs/internal/cluster"
-	"rofs/internal/fault"
 	"rofs/internal/report"
 	"rofs/internal/service"
 	"rofs/internal/units"
@@ -62,37 +60,14 @@ func main() {
 		metricsOut  = fs.String("metrics", "", "write the run's rofs-metrics/v1 bundle to this file (- for stdout)")
 		retriesFlag = fs.Int("retries", 0, "run/submit: resubmit up to N times on 503, honoring Retry-After")
 
-		policyFlag   = fs.String("policy", "rbuddy", "buddy | rbuddy | extent | fixed")
-		workloadFlag = fs.String("workload", "TS", "TS | TP | SC")
-		testFlag     = fs.String("test", "alloc", "alloc | app | seq | aging")
-		scaleFlag    = fs.String("scale", "bench", "full | bench")
-		seedFlag     = fs.Int64("seed", 42, "simulation seed")
-		nameFlag     = fs.String("name", "", "presentation label for the run")
+		// The run description: the same flags, defaults and parser
+		// (RunRequest.Spec) as rofsim and the server.
+		runFlags = service.AddRunFlags(fs, service.DefaultRequest())
 
-		sizesFlag = fs.Int("sizes", 5, "rbuddy: number of block sizes (2-5)")
-		growFlag  = fs.Float64("grow", 1, "rbuddy: grow-policy multiplier")
-		clustFlag = fs.Bool("clustered", true, "rbuddy: use 32M bookkeeping regions")
-
-		fitFlag    = fs.String("fit", "first", "extent: first | best")
-		rangesFlag = fs.Int("ranges", 3, "extent: number of extent-size ranges (1-5)")
-
-		blockFlag = fs.String("block", "4K", "fixed: block size (4K or 16K)")
-
+		nameFlag   = fs.String("name", "", "presentation label for the run")
 		stableFlag = fs.Int("stable-windows", 0,
 			"consecutive in-tolerance windows before a throughput run stops early (0: server default)")
-
-		disksFlag   = fs.Int("disks", 0, "override number of drives")
-		layoutFlag  = fs.String("layout", "striped", "striped | mirrored | raid5 | parity")
-		stripeFlag  = fs.String("stripe", "", "override stripe unit, e.g. 24K")
-		maxSimFlag  = fs.Float64("max-sim", 0, "override simulated-time cap (ms)")
 		timeoutFlag = fs.Duration("timeout", 0, "server-side wall-time cap for the run (e.g. 2m)")
-
-		// fault-scenario knobs, forwarded as the request's faults object
-		faultFlags = fault.AddFlags(fs)
-
-		// cluster + open-loop knobs, forwarded as the request's cluster and
-		// arrivals objects
-		clusterFlags = cluster.AddFlags(fs)
 	)
 	fs.Parse(args)
 
@@ -103,66 +78,26 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	req := service.RunRequest{
-		Policy:    *policyFlag,
-		Workload:  *workloadFlag,
-		Test:      *testFlag,
-		Scale:     *scaleFlag,
-		Seed:      *seedFlag,
-		Name:      *nameFlag,
-		Sizes:     *sizesFlag,
-		Grow:      *growFlag,
-		Clustered: clustFlag,
-		Fit:       *fitFlag,
-		Ranges:    *rangesFlag,
-		Disks:     *disksFlag,
-		Layout:    *layoutFlag,
-		MaxSimMS:  *maxSimFlag,
-
-		StableWindows: *stableFlag,
-	}
-	if *policyFlag == "fixed" {
-		n, err := parseSize(*blockFlag)
+	// request is the run that run and submit send, checked here by the
+	// same Spec the server applies, so a bad description fails with the
+	// server's message before any network call.
+	request := func() service.RunRequest {
+		req, err := runFlags.Request()
 		if err != nil {
-			fatal("bad block size: %v", err)
+			fatal("%v", err)
 		}
-		req.BlockBytes = n
-	}
-	if *stripeFlag != "" {
-		n, err := parseSize(*stripeFlag)
-		if err != nil {
-			fatal("bad stripe unit: %v", err)
-		}
-		req.StripeBytes = n
-	}
-	if *timeoutFlag > 0 {
+		req.Name = *nameFlag
+		req.StableWindows = *stableFlag
 		req.TimeoutMS = float64(*timeoutFlag) / float64(time.Millisecond)
-	}
-	if faults := faultFlags.Scenario(); faults.Enabled() || faults.PreFail {
-		if err := faults.Validate(); err != nil {
+		if _, err := req.Spec(); err != nil {
 			fatal("%v", err)
 		}
-		req.Faults = &faults
-	}
-	// -arrival-trace is loaded client-side and sent inline: the server
-	// refuses trace_file references (it will not read paths local to the
-	// client machine).
-	if a, err := clusterFlags.Arrivals(); err != nil {
-		fatal("%v", err)
-	} else {
-		req.Arrivals = a
-	}
-	req.Compaction = clusterFlags.Compaction()
-	if cc := clusterFlags.Config(); cc.Enabled() {
-		if err := cc.Validate(); err != nil {
-			fatal("%v", err)
-		}
-		req.Cluster = &cc
+		return req
 	}
 
 	switch cmd {
 	case "run":
-		sub, err := client.SubmitRetry(ctx, req, *retriesFlag)
+		sub, err := client.SubmitRetry(ctx, request(), *retriesFlag)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -173,7 +108,7 @@ func main() {
 		}
 		finish(st, *jsonFlag, *metricsOut)
 	case "submit":
-		sub, err := client.SubmitRetry(ctx, req, *retriesFlag)
+		sub, err := client.SubmitRetry(ctx, request(), *retriesFlag)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -392,24 +327,6 @@ func envOr(key, def string) string {
 		return v
 	}
 	return def
-}
-
-func parseSize(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = units.KB, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = units.MB, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = units.GB, strings.TrimSuffix(s, "G")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		return 0, fmt.Errorf("cannot parse size %q", s)
-	}
-	return n * mult, nil
 }
 
 func fatal(format string, args ...any) {

@@ -26,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -111,7 +110,7 @@ func main() {
 
 	var resultStore *store.Store
 	if *storeDirFlag != "" {
-		maxBytes, err := parseSize(*storeMaxFlag)
+		maxBytes, err := units.ParseSize(*storeMaxFlag)
 		if err != nil {
 			fatal("-store-max-bytes: %v", err)
 		}
@@ -189,25 +188,6 @@ func svcJobs(jobs int) int {
 		return jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// parseSize reads "256M"-style byte sizes (K/M/G suffixes).
-func parseSize(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = units.KB, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = units.MB, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = units.GB, strings.TrimSuffix(s, "G")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		return 0, fmt.Errorf("cannot parse size %q", s)
-	}
-	return n * mult, nil
 }
 
 func fatal(format string, args ...any) {

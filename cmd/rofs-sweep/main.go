@@ -20,7 +20,10 @@
 // apply to every sweep point, so a degraded-mode sweep is any ordinary
 // sweep with a scenario attached. The cluster flags (-instances, -routing,
 // -admission, -rate, ...) likewise fix the fleet shape across the sweep;
-// the cluster sweep parameters vary one of those axes per point.
+// the cluster sweep parameters vary one of those axes per point. -compact
+// arms the compaction overlay on every point. Each point is a
+// service.RunRequest built by the same parser as rofsim and rofs-server,
+// so a point the server would reject fails here with the same message.
 //
 // Examples:
 //
@@ -51,13 +54,11 @@ import (
 
 	"rofs/internal/cluster"
 	"rofs/internal/core"
-	"rofs/internal/disk"
-	"rofs/internal/experiments"
-	"rofs/internal/fault"
 	"rofs/internal/metrics"
 	"rofs/internal/prof"
 	"rofs/internal/report"
 	"rofs/internal/runner"
+	"rofs/internal/service"
 	"rofs/internal/stats"
 	"rofs/internal/workload"
 )
@@ -84,12 +85,9 @@ func main() {
 		memProfFlag  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		execTraceFlg = flag.String("exectrace", "", "write a runtime execution trace to this file")
 
-		// fault-scenario knobs, applied to every sweep point
-		faultFlags = fault.AddFlags(flag.CommandLine)
-
-		// cluster + open-loop knobs, fixed across the sweep unless a
-		// cluster parameter varies one of them per point
-		clusterFlags = cluster.AddFlags(flag.CommandLine)
+		// Fault, cluster, open-loop and compaction knobs, applied to every
+		// sweep point unless the swept parameter varies one of them.
+		scenarioFlags = service.AddScenarioFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -108,49 +106,17 @@ func main() {
 		fatal("%v", err)
 	}
 
-	// The scale is the same for every point; select it once.
-	var sc experiments.Scale
-	switch *scaleFlag {
-	case "full":
-		sc = experiments.FullScale()
-	case "bench":
-		sc = experiments.BenchScale()
-	default:
-		fatal("unknown scale %q", *scaleFlag)
+	// Every point is this base request with the swept field changed; the
+	// fixed policy is restricted buddy at its defaults (5 sizes, grow 1,
+	// clustered).
+	base := service.RunRequest{
+		Policy: "rbuddy", Workload: *workloadFlag, Test: *testFlag, Scale: *scaleFlag,
+		Layout: *layoutFlag, Disks: *disksFlag,
 	}
-
-	if *disksFlag > 0 {
-		sc.Disk.NDisks = *disksFlag
-	}
-	switch *layoutFlag {
-	case "striped":
-		sc.Disk.Layout = disk.Striped
-	case "mirrored":
-		sc.Disk.Layout = disk.Mirrored
-	case "raid5":
-		sc.Disk.Layout = disk.RAID5
-	case "parity":
-		sc.Disk.Layout = disk.ParityStriped
-	default:
-		fatal("unknown layout %q", *layoutFlag)
-	}
-
-	kind, err := parseTest(*testFlag)
-	if err != nil {
+	if err := scenarioFlags.Apply(&base); err != nil {
 		fatal("%v", err)
 	}
-
-	faults := faultFlags.Scenario()
-	if err := faults.Validate(); err != nil {
-		fatal("%v", err)
-	}
-
-	arrivals, err := clusterFlags.Arrivals()
-	if err != nil {
-		fatal("%v", err)
-	}
-	specs, err := buildSpecs(sc, *paramFlag, *workloadFlag, kind, values, faults,
-		clusterFlags.Config(), arrivals)
+	specs, err := buildSpecs(base, *paramFlag, values)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -217,7 +183,7 @@ func main() {
 		completed++
 		v := values[i]
 		sp := r.Spec
-		switch kind {
+		switch sp.Kind {
 		case core.Allocation:
 			res := r.Outcome.Frag
 			t.AddRow(v, sp.Policy.Name(), sp.Workload.Name, "alloc",
@@ -281,19 +247,6 @@ func parseValues(list string) ([]string, error) {
 	return values, nil
 }
 
-// parseTest maps the -test flag to a runner test kind.
-func parseTest(name string) (core.TestKind, error) {
-	switch name {
-	case "alloc":
-		return core.Allocation, nil
-	case "app":
-		return core.Application, nil
-	case "seq":
-		return core.Sequential, nil
-	}
-	return 0, fmt.Errorf("unknown test %q", name)
-}
-
 // asFloat converts a numeric sweep token.
 func asFloat(param, tok string) (float64, error) {
 	v, err := strconv.ParseFloat(tok, 64)
@@ -315,132 +268,91 @@ func asInt(param, tok string) (int64, error) {
 	return int64(v), nil
 }
 
-// buildSpecs declares one Spec per sweep value for the given parameter.
-// The cluster config and arrival process from the flags are the base every
-// point starts from; the cluster parameters vary one axis per point.
-func buildSpecs(sc experiments.Scale, param, wlName string, kind core.TestKind, values []string,
-	faults fault.Scenario, baseCC cluster.Config, baseArr *workload.Arrivals) ([]runner.Spec, error) {
+// buildSpecs declares one Spec per sweep value: each point copies base,
+// sets the one field the parameter names, and builds through
+// RunRequest.Spec. users is not a request field, so that sweep edits the
+// built Spec's workload instead.
+func buildSpecs(base service.RunRequest, param string, values []string) ([]runner.Spec, error) {
 	specs := make([]runner.Spec, 0, len(values))
 	for _, tok := range values {
-		pt := sc
-		fl := faults
-		cc := baseCC
-		var arr *workload.Arrivals
-		if baseArr != nil {
-			a := *baseArr // each point owns its arrival block
-			arr = &a
+		req := base
+		// Each point owns its cluster block, so editing it leaves base
+		// intact.
+		var cc cluster.Config
+		if base.Cluster != nil {
+			cc = *base.Cluster
 		}
-		policy := core.RBuddy(5, 1, true)
-		wl, err := pt.Workload(wlName)
-		if err != nil {
-			return nil, err
-		}
+		var (
+			n   int64
+			err error
+		)
 		switch param {
 		case "seed":
-			n, err := asInt(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			pt.Seed = n
+			n, err = asInt(param, tok)
+			req.SetSeed(n)
 		case "users":
-			n, err := asInt(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			for i := range wl.Types {
-				wl.Types[i].Users = int(n)
-			}
+			n, err = asInt(param, tok)
 		case "stripe":
-			n, err := asInt(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			pt.Disk.StripeUnitBytes = n
+			req.StripeBytes, err = asInt(param, tok)
 		case "disks":
-			n, err := asInt(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			pt.Disk.NDisks = int(n)
+			n, err = asInt(param, tok)
+			req.Disks = int(n)
 		case "grow":
-			v, err := asFloat(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			policy = core.RBuddy(5, v, true)
+			req.Grow, err = asFloat(param, tok)
 		case "sizes":
-			n, err := asInt(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			policy = core.RBuddy(int(n), 1, true)
+			n, err = asInt(param, tok)
+			req.Sizes = int(n)
 		case "rebuild-pause":
-			v, err := asFloat(param, tok)
-			if err != nil {
-				return nil, err
-			}
-			if !fl.Enabled() || !fl.Rebuild {
+			if base.Faults == nil || !base.Faults.Enabled() || !base.Faults.Rebuild {
 				return nil, fmt.Errorf("parameter %q needs a rebuild scenario (-fail-at or -mttf, plus -rebuild)", param)
 			}
-			if v < 0 {
-				return nil, fmt.Errorf("parameter %q needs values >= 0, got %g", param, v)
-			}
-			fl.RebuildPauseMS = v
+			fl := *base.Faults
+			fl.RebuildPauseMS, err = asFloat(param, tok)
+			req.Faults = &fl
 		case "instances":
-			n, err := asInt(param, tok)
-			if err != nil {
-				return nil, err
-			}
+			n, err = asInt(param, tok)
 			cc.Instances = int(n)
-		case "routing":
-			cc.Routing = tok
+			req.Cluster = &cc
+		case "routing", "admission":
 			if cc.Instances == 0 {
 				return nil, fmt.Errorf("parameter %q needs a fleet (-instances N)", param)
 			}
-		case "admission":
-			if tok == "none" {
+			switch {
+			case param == "routing":
+				cc.Routing = tok
+			case tok == "none":
 				cc.Admission = ""
-			} else {
+			default:
 				cc.Admission = tok
 			}
-			if cc.Instances == 0 {
-				return nil, fmt.Errorf("parameter %q needs a fleet (-instances N)", param)
-			}
+			req.Cluster = &cc
 		case "rate":
-			v, err := asFloat(param, tok)
-			if err != nil {
-				return nil, err
+			var a workload.Arrivals
+			if base.Arrivals != nil {
+				a.Clients = base.Arrivals.Clients
 			}
-			if v <= 0 {
-				return nil, fmt.Errorf("parameter %q needs values > 0, got %g", param, v)
-			}
-			a := workload.Arrivals{RatePerSec: v}
-			if baseArr != nil {
-				a.Clients = baseArr.Clients
-			}
-			arr = &a
+			a.RatePerSec, err = asFloat(param, tok)
+			req.Arrivals = &a
 		default:
 			return nil, fmt.Errorf("unknown parameter %q", param)
 		}
-		if err := cc.Validate(); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		if cc.Enabled() && kind != core.Application {
-			return nil, fmt.Errorf("cluster sweeps run the app test only, not %s", kind)
-		}
-		if arr != nil {
-			if kind != core.Application {
-				return nil, fmt.Errorf("open-loop arrivals run the app test only, not %s", kind)
+		sp, err := req.Spec()
+		if err == nil && param == "users" {
+			for i := range sp.Workload.Types {
+				sp.Workload.Types[i].Users = int(n)
 			}
-			wl.Arrivals = arr
-			if err := wl.Validate(); err != nil {
-				return nil, err
-			}
+			err = sp.Workload.Validate()
 		}
-		sp := pt.Spec(policy, wl, kind)
-		sp.Name = fmt.Sprintf("%s=%s %s/%s/%s", param, tok, policy.Name(), wl.Name, kind)
-		sp.Faults = fl
-		sp.Cluster = cc
+		if err != nil {
+			return nil, fmt.Errorf("%s=%s: %w", param, tok, err)
+		}
+		if sp.Kind == core.Aging {
+			return nil, fmt.Errorf("the aging test has no sweep columns; run it with rofsim or rofs-tables -exp aging")
+		}
+		sp.Name = fmt.Sprintf("%s=%s %s/%s/%s", param, tok, sp.Policy.Name(), sp.Workload.Name, sp.Kind)
 		specs = append(specs, sp)
 	}
 	return specs, nil

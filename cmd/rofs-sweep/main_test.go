@@ -5,14 +5,35 @@ import (
 	"testing"
 
 	"rofs/internal/cluster"
-	"rofs/internal/core"
-	"rofs/internal/experiments"
 	"rofs/internal/fault"
+	"rofs/internal/service"
 	"rofs/internal/workload"
 )
 
-// noCluster is the base for non-cluster sweeps: no fleet, closed loop.
-var noCluster = cluster.Config{}
+// sweepBase is the base request rofs-sweep builds from its flags: the
+// fixed restricted buddy policy on workload wl and test, bench scale.
+func sweepBase(wl, test string) service.RunRequest {
+	return service.RunRequest{Policy: "rbuddy", Workload: wl, Test: test, Scale: "bench", Layout: "striped"}
+}
+
+// raid5 is a base on the 4-drive RAID-5 array that drive failures need.
+func raid5(req service.RunRequest) service.RunRequest {
+	req.Layout, req.Disks = "raid5", 4
+	return req
+}
+
+// withScenario attaches a fault scenario, fleet and arrival process to a
+// base request, as the scenario flags do.
+func withScenario(req service.RunRequest, faults fault.Scenario, cc cluster.Config, arr *workload.Arrivals) service.RunRequest {
+	if faults != (fault.Scenario{}) {
+		req.Faults = &faults
+	}
+	if cc != (cluster.Config{}) {
+		req.Cluster = &cc
+	}
+	req.Arrivals = arr
+	return req
+}
 
 func TestParseValuesAcceptsFractionsAndNames(t *testing.T) {
 	vals, err := parseValues("1, 1.5 ,2")
@@ -42,9 +63,7 @@ func TestParseValuesAcceptsFractionsAndNames(t *testing.T) {
 }
 
 func TestBuildSpecsGrowFraction(t *testing.T) {
-	sc := experiments.BenchScale()
-	specs, err := buildSpecs(sc, "grow", "TS", core.Allocation,
-		[]string{"1", "1.5", "2"}, fault.Scenario{}, noCluster, nil)
+	specs, err := buildSpecs(sweepBase("TS", "alloc"), "grow", []string{"1", "1.5", "2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +79,13 @@ func TestBuildSpecsGrowFraction(t *testing.T) {
 }
 
 func TestBuildSpecsRejectsFractionalIntParams(t *testing.T) {
-	sc := experiments.BenchScale()
 	for _, param := range []string{"seed", "users", "stripe", "disks", "sizes", "instances"} {
-		if _, err := buildSpecs(sc, param, "TP", core.Application,
-			[]string{"1.5"}, fault.Scenario{}, noCluster, nil); err == nil {
+		if _, err := buildSpecs(sweepBase("TP", "app"), param, []string{"1.5"}); err == nil {
 			t.Errorf("parameter %q accepted a fractional value", param)
 		}
 	}
 	// Integer-valued tokens convert cleanly.
-	specs, err := buildSpecs(sc, "seed", "TP", core.Application,
-		[]string{"7"}, fault.Scenario{}, noCluster, nil)
+	specs, err := buildSpecs(sweepBase("TP", "app"), "seed", []string{"7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +93,19 @@ func TestBuildSpecsRejectsFractionalIntParams(t *testing.T) {
 		t.Errorf("seed = %d, want 7", specs[0].Seed)
 	}
 	// Numeric parameters reject garbage tokens.
-	if _, err := buildSpecs(sc, "seed", "TP", core.Application,
-		[]string{"x"}, fault.Scenario{}, noCluster, nil); err == nil {
+	if _, err := buildSpecs(sweepBase("TP", "app"), "seed", []string{"x"}); err == nil {
 		t.Error("garbage token accepted for a numeric parameter")
 	}
 }
 
 func TestBuildSpecsRebuildPauseSweep(t *testing.T) {
-	sc := experiments.BenchScale()
 	// rebuild-pause without a rebuild scenario is an error.
-	if _, err := buildSpecs(sc, "rebuild-pause", "TS", core.Application,
-		[]string{"0", "50"}, fault.Scenario{}, noCluster, nil); err == nil {
+	if _, err := buildSpecs(sweepBase("TS", "app"), "rebuild-pause", []string{"0", "50"}); err == nil {
 		t.Error("rebuild-pause sweep accepted without a fault scenario")
 	}
 	faults := fault.Scenario{FailAtMS: 1000, Rebuild: true}
-	specs, err := buildSpecs(sc, "rebuild-pause", "TS", core.Application,
-		[]string{"0", "50"}, faults, noCluster, nil)
+	specs, err := buildSpecs(withScenario(raid5(sweepBase("TS", "app")), faults, cluster.Config{}, nil),
+		"rebuild-pause", []string{"0", "50"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +115,24 @@ func TestBuildSpecsRebuildPauseSweep(t *testing.T) {
 	if specs[0].Key() == specs[1].Key() {
 		t.Error("different rebuild pauses share a key")
 	}
+	// Negative pauses fail fault validation, per point.
+	if _, err := buildSpecs(withScenario(raid5(sweepBase("TS", "app")), faults, cluster.Config{}, nil),
+		"rebuild-pause", []string{"-5"}); err == nil {
+		t.Error("negative rebuild pause accepted")
+	}
 }
 
 func TestBuildSpecsAttachScenario(t *testing.T) {
-	sc := experiments.BenchScale()
 	faults := fault.Scenario{FailAtMS: 2000, TransientProb: 0.01}
-	specs, err := buildSpecs(sc, "seed", "TP", core.Application,
-		[]string{"1", "2"}, faults, noCluster, nil)
+	specs, err := buildSpecs(withScenario(raid5(sweepBase("TP", "app")), faults, cluster.Config{}, nil),
+		"seed", []string{"1", "2"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A drive failure off RAID-5 is rejected up front, not at run time.
+	if _, err := buildSpecs(withScenario(sweepBase("TP", "app"), faults, cluster.Config{}, nil),
+		"seed", []string{"1"}); err == nil || !strings.Contains(err.Error(), "raid5") {
+		t.Errorf("drive failure on a striped array: err = %v", err)
 	}
 	for i, sp := range specs {
 		if sp.Faults != faults {
@@ -120,9 +142,7 @@ func TestBuildSpecsAttachScenario(t *testing.T) {
 }
 
 func TestBuildSpecsVariesOnlyTheParameter(t *testing.T) {
-	sc := experiments.BenchScale()
-	specs, err := buildSpecs(sc, "users", "TP", core.Application,
-		[]string{"8", "16"}, fault.Scenario{}, noCluster, nil)
+	specs, err := buildSpecs(sweepBase("TP", "app"), "users", []string{"8", "16"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +156,8 @@ func TestBuildSpecsVariesOnlyTheParameter(t *testing.T) {
 }
 
 func TestBuildSpecsInstancesSweep(t *testing.T) {
-	sc := experiments.BenchScale()
 	arr := &workload.Arrivals{RatePerSec: 400}
-	specs, err := buildSpecs(sc, "instances", "TP", core.Application,
-		[]string{"1", "2", "4"}, fault.Scenario{}, noCluster, arr)
+	specs, err := buildSpecs(withScenario(sweepBase("TP", "app"), fault.Scenario{}, cluster.Config{}, arr), "instances", []string{"1", "2", "4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +173,15 @@ func TestBuildSpecsInstancesSweep(t *testing.T) {
 		t.Error("different fleet sizes share a key")
 	}
 	// The cluster axes are app-test only.
-	if _, err := buildSpecs(sc, "instances", "TP", core.Sequential,
-		[]string{"2"}, fault.Scenario{}, noCluster, nil); err == nil {
+	if _, err := buildSpecs(sweepBase("TP", "seq"), "instances", []string{"2"}); err == nil {
 		t.Error("instances sweep accepted outside the app test")
 	}
 }
 
 func TestBuildSpecsRoutingAndAdmissionSweeps(t *testing.T) {
-	sc := experiments.BenchScale()
 	base := cluster.Config{Instances: 4, TokenCapacity: 32, TokenRefillPerSec: 300, QueueCap: 64}
 	arr := &workload.Arrivals{RatePerSec: 400}
-	specs, err := buildSpecs(sc, "routing", "TP", core.Application,
-		[]string{"rr", "least", "affinity"}, fault.Scenario{}, base, arr)
+	specs, err := buildSpecs(withScenario(sweepBase("TP", "app"), fault.Scenario{}, base, arr), "routing", []string{"rr", "least", "affinity"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,18 +191,15 @@ func TestBuildSpecsRoutingAndAdmissionSweeps(t *testing.T) {
 		}
 	}
 	// Routing needs a fleet to route across.
-	if _, err := buildSpecs(sc, "routing", "TP", core.Application,
-		[]string{"rr"}, fault.Scenario{}, noCluster, arr); err == nil {
+	if _, err := buildSpecs(withScenario(sweepBase("TP", "app"), fault.Scenario{}, cluster.Config{}, arr), "routing", []string{"rr"}); err == nil {
 		t.Error("routing sweep accepted without -instances")
 	}
 	// Unknown policy names fail per point via cluster validation.
-	if _, err := buildSpecs(sc, "routing", "TP", core.Application,
-		[]string{"random"}, fault.Scenario{}, base, arr); err == nil {
+	if _, err := buildSpecs(withScenario(sweepBase("TP", "app"), fault.Scenario{}, base, arr), "routing", []string{"random"}); err == nil {
 		t.Error("unknown routing policy accepted")
 	}
 
-	specs, err = buildSpecs(sc, "admission", "TP", core.Application,
-		[]string{"none", "token", "queue"}, fault.Scenario{}, base, arr)
+	specs, err = buildSpecs(withScenario(sweepBase("TP", "app"), fault.Scenario{}, base, arr), "admission", []string{"none", "token", "queue"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +211,9 @@ func TestBuildSpecsRoutingAndAdmissionSweeps(t *testing.T) {
 }
 
 func TestBuildSpecsRateSweep(t *testing.T) {
-	sc := experiments.BenchScale()
 	base := cluster.Config{Instances: 2}
 	arr := &workload.Arrivals{RatePerSec: 100, Clients: 64}
-	specs, err := buildSpecs(sc, "rate", "TP", core.Application,
-		[]string{"200", "400"}, fault.Scenario{}, base, arr)
+	specs, err := buildSpecs(withScenario(sweepBase("TP", "app"), fault.Scenario{}, base, arr), "rate", []string{"200", "400"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,5 +228,35 @@ func TestBuildSpecsRateSweep(t *testing.T) {
 	}
 	if specs[0].Key() == specs[1].Key() {
 		t.Error("different arrival rates share a key")
+	}
+}
+
+func TestBuildSpecsParseThroughSpec(t *testing.T) {
+	// Seed 0 is a seed, not a request for the default 42.
+	specs, err := buildSpecs(sweepBase("TS", "alloc"), "seed", []string{"0", "42"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if specs[0].Seed != 0 || specs[1].Seed != 42 {
+		t.Errorf("seeds = %d, %d; want 0, 42", specs[0].Seed, specs[1].Seed)
+	}
+	// Points the parser rejects fail with its message, naming the point,
+	// instead of panicking or failing at run time.
+	for _, c := range []struct{ param, tok, want string }{
+		{"sizes", "7", "sizes=7: rbuddy wants 2-5 block sizes, got 7"},
+		{"grow", "0.5", "grow=0.5: rbuddy grow factor must be >= 1, got 0.5"},
+		{"disks", "-2", "disks=-2: disks must be non-negative, got -2"},
+		{"stripe", "-8192", "stripe=-8192: stripe_bytes must be non-negative, got -8192"},
+		{"rate", "0", "rate=0: "},
+		{"users", "0", `users=0: workload "tp-relation": Users 0 must be positive`},
+	} {
+		_, err := buildSpecs(sweepBase("TP", "app"), c.param, []string{c.tok})
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s=%s: err = %v, want prefix %q", c.param, c.tok, err, c.want)
+		}
+	}
+	// The CSV has no columns for the aging test.
+	if _, err := buildSpecs(sweepBase("TS", "aging"), "seed", []string{"1"}); err == nil {
+		t.Error("aging sweep accepted")
 	}
 }

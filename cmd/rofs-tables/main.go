@@ -144,14 +144,9 @@ func main() {
 		}
 	}()
 
-	var sc experiments.Scale
-	switch *scaleFlag {
-	case "full":
-		sc = experiments.FullScale()
-	case "bench":
-		sc = experiments.BenchScale()
-	default:
-		fmt.Fprintf(os.Stderr, "rofs-tables: unknown scale %q\n", *scaleFlag)
+	sc, err := experiments.ScaleByName(*scaleFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rofs-tables: %v\n", err)
 		os.Exit(2)
 	}
 	sc.Seed = *seedFlag

@@ -11,240 +11,186 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"rofs/internal/alloc/extent"
 	"rofs/internal/cluster"
 	"rofs/internal/core"
-	"rofs/internal/disk"
 	"rofs/internal/experiments"
-	"rofs/internal/fault"
 	"rofs/internal/metrics"
 	"rofs/internal/prof"
+	"rofs/internal/runner"
+	"rofs/internal/service"
 	"rofs/internal/units"
 	"rofs/internal/workload"
 )
 
-func main() {
-	var (
-		policyFlag   = flag.String("policy", "rbuddy", "buddy | rbuddy | extent | fixed")
-		workloadFlag = flag.String("workload", "TS", "TS | TP | SC")
-		testFlag     = flag.String("test", "alloc", "alloc | app | seq | aging")
-		scaleFlag    = flag.String("scale", "bench", "full | bench")
-		seedFlag     = flag.Int64("seed", 42, "simulation seed")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		// rbuddy knobs
-		sizesFlag = flag.Int("sizes", 5, "rbuddy: number of block sizes (2-5)")
-		growFlag  = flag.Float64("grow", 1, "rbuddy: grow-policy multiplier (fractions allowed, e.g. 1.5)")
-		clustFlag = flag.Bool("clustered", true, "rbuddy: use 32M bookkeeping regions")
+// cli holds rofsim's flags: the shared run description, plus the
+// workload-file, output and profiling flags, which stay CLI-only because
+// the server never reads or writes client paths.
+type cli struct {
+	run                 *service.RunFlags
+	wlFile, dump, trace string
+	metrics, metricsFmt string
+	metricsInt          float64
+	prof                prof.Flags
+}
 
-		// extent knobs
-		fitFlag    = flag.String("fit", "first", "extent: first | best")
-		rangesFlag = flag.Int("ranges", 3, "extent: number of extent-size ranges (1-5)")
+// run is rofsim with its arguments, output streams and exit status made
+// explicit: 0 on success, 1 when the run fails, 2 on a flag syntax error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rofsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// The run description: the same flags, defaults and parser
+	// (service.RunRequest.Spec) as rofs-client and POST /v1/runs.
+	c := cli{run: service.AddRunFlags(fs, service.DefaultRequest())}
 
-		// fixed knob
-		blockFlag = flag.String("block", "4K", "fixed: block size (4K or 16K)")
+	fs.StringVar(&c.wlFile, "workload-file", "", "JSON workload definition (overrides -workload)")
+	fs.StringVar(&c.dump, "dump-workload", "", "print a built-in workload as JSON and exit (TS|TP|SC)")
+	fs.StringVar(&c.trace, "trace", "", "write a tab-separated event trace to this file")
 
-		// custom workloads
-		wlFileFlag = flag.String("workload-file", "", "JSON workload definition (overrides -workload)")
-		dumpFlag   = flag.String("dump-workload", "", "print a built-in workload as JSON and exit (TS|TP|SC)")
+	// metrics bundle (see EXPERIMENTS.md "Metrics and spans")
+	fs.StringVar(&c.metrics, "metrics", "", "write the run's metrics bundle to this file (- for stdout)")
+	fs.StringVar(&c.metricsFmt, "metrics-format", "json", "bundle encoding: json | csv | prom")
+	fs.Float64Var(&c.metricsInt, "metrics-interval", metrics.DefaultIntervalMS, "timeline sampling interval (simulated ms)")
 
-		// disk knobs
-		disksFlag  = flag.Int("disks", 0, "override number of drives")
-		layoutFlag = flag.String("layout", "striped", "striped | mirrored | raid5 | parity")
-		stripeFlag = flag.String("stripe", "", "override stripe unit, e.g. 24K")
-		maxSimFlag = flag.Float64("max-sim", 0, "override simulated-time cap (ms)")
-		traceFlag  = flag.String("trace", "", "write a tab-separated event trace to this file")
+	// Profiling: -trace is taken by the simulator's event trace; every
+	// command spells the runtime execution trace -exectrace.
+	fs.StringVar(&c.prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&c.prof.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
+	fs.StringVar(&c.prof.Trace, "exectrace", "", "write a runtime execution trace to this file")
 
-		// metrics bundle (see EXPERIMENTS.md "Metrics and spans")
-		metricsFlag    = flag.String("metrics", "", "write the run's metrics bundle to this file (- for stdout)")
-		metricsFmtFlag = flag.String("metrics-format", "json", "bundle encoding: json | csv | prom")
-		metricsIntFlag = flag.Float64("metrics-interval", metrics.DefaultIntervalMS, "timeline sampling interval (simulated ms)")
-
-		// Profiling: -trace is taken by the simulator's event trace; every
-		// command spells the runtime execution trace -exectrace.
-		cpuProfFlag  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfFlag  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		execTraceFlg = flag.String("exectrace", "", "write a runtime execution trace to this file")
-
-		// fault-scenario knobs (see EXPERIMENTS.md "Fault injection")
-		faultFlags = fault.AddFlags(flag.CommandLine)
-
-		// cluster + open-loop knobs (see EXPERIMENTS.md "Cluster mode")
-		clusterFlags = cluster.AddFlags(flag.CommandLine)
-	)
-	flag.Parse()
-
-	stopProf, perr := prof.Start(prof.Flags{CPUProfile: *cpuProfFlag, MemProfile: *memProfFlag, Trace: *execTraceFlg})
-	if perr != nil {
-		fatal("%v", perr)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "rofsim: %v\n", err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	}()
-
-	if *dumpFlag != "" {
-		wl, err := workload.ByName(*dumpFlag)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := workload.ToJSON(os.Stdout, wl); err != nil {
-			fatal("%v", err)
-		}
-		return
+		return 2
 	}
-
-	sc := experiments.BenchScale()
-	if *scaleFlag == "full" {
-		sc = experiments.FullScale()
-	}
-	sc.Seed = *seedFlag
-	if *maxSimFlag > 0 {
-		sc.MaxSimMS = *maxSimFlag
-	}
-	if *disksFlag > 0 {
-		sc.Disk.NDisks = *disksFlag
-	}
-	switch *layoutFlag {
-	case "striped":
-		sc.Disk.Layout = disk.Striped
-	case "mirrored":
-		sc.Disk.Layout = disk.Mirrored
-	case "raid5":
-		sc.Disk.Layout = disk.RAID5
-	case "parity":
-		sc.Disk.Layout = disk.ParityStriped
-	default:
-		fatal("unknown layout %q", *layoutFlag)
-	}
-	if *stripeFlag != "" {
-		n, err := parseSize(*stripeFlag)
-		if err != nil {
-			fatal("bad stripe unit: %v", err)
-		}
-		sc.Disk.StripeUnitBytes = n
-	}
-
-	var wl workload.Workload
-	var err error
-	if *wlFileFlag != "" {
-		f, ferr := os.Open(*wlFileFlag)
-		if ferr != nil {
-			fatal("%v", ferr)
-		}
-		wl, err = workload.FromJSON(f)
-		f.Close()
-	} else {
-		wl, err = sc.Workload(*workloadFlag)
+	stopProf, err := prof.Start(c.prof)
+	if err == nil {
+		defer func() {
+			if err := stopProf(); err != nil {
+				fmt.Fprintf(stderr, "rofsim: %v\n", err)
+			}
+		}()
+		err = c.simulate(stdout, stderr)
 	}
 	if err != nil {
-		fatal("%v", err)
+		fmt.Fprintf(stderr, "rofsim: %v\n", err)
+		return 1
 	}
-	if a, aerr := clusterFlags.Arrivals(); aerr != nil {
-		fatal("%v", aerr)
-	} else if a != nil {
-		wl.Arrivals = a
+	return 0
+}
+
+// simulate builds the run the flags describe through RunRequest.Spec,
+// runs it the way runner.Pool does (cluster.Run dispatches on the test
+// kind and hands plain runs to core.Run), and prints the report.
+func (c *cli) simulate(stdout, stderr io.Writer) error {
+	if c.dump != "" {
+		wl, err := workload.ByName(c.dump)
+		if err != nil {
+			return err
+		}
+		return workload.ToJSON(stdout, wl)
 	}
-	if cc := clusterFlags.Compaction(); cc != nil {
-		wl.Compact = cc
+	req, err := c.run.Request()
+	if err != nil {
+		return err
 	}
-	cc := clusterFlags.Config()
-	if err := cc.Validate(); err != nil {
-		fatal("%v", err)
+	sp, err := c.spec(&req)
+	if err != nil {
+		return err
+	}
+	sc, err := experiments.ScaleByName(req.Scale)
+	if err != nil {
+		return err
+	}
+	metricsFmt, err := metrics.ParseFormat(c.metricsFmt)
+	if err != nil {
+		return err
 	}
 
-	var spec core.PolicySpec
-	switch *policyFlag {
-	case "buddy":
-		spec = core.Buddy()
-	case "rbuddy":
-		spec = core.RBuddy(*sizesFlag, *growFlag, *clustFlag)
-	case "extent":
-		fit := extent.FirstFit
-		if strings.HasPrefix(*fitFlag, "b") {
-			fit = extent.BestFit
+	cfg := sp.Config()
+	var tf *os.File
+	if c.trace != "" {
+		if tf, err = os.Create(c.trace); err != nil {
+			return err
 		}
-		ranges, err := sc.ExtentRanges(wl.Name, *rangesFlag)
-		if err != nil {
-			fatal("%v", err)
-		}
-		spec = core.Extent(fit, ranges)
-	case "fixed":
-		n, err := parseSize(*blockFlag)
-		if err != nil {
-			fatal("bad block size: %v", err)
-		}
-		spec = core.Fixed(n)
-	default:
-		fatal("unknown policy %q", *policyFlag)
-	}
-
-	cfg := sc.Config(spec, wl)
-	cfg.Faults = faultFlags.Scenario()
-	if err := cfg.Faults.Validate(); err != nil {
-		fatal("%v", err)
-	}
-	if *traceFlag != "" {
-		tf, err := os.Create(*traceFlag)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer tf.Close()
+		defer tf.Close() // for the error paths; success closes it below
 		cfg.TraceWriter = tf
 	}
-
-	metricsFmt, err := metrics.ParseFormat(*metricsFmtFlag)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if *metricsFlag != "" {
-		cfg.Metrics = metrics.New(*metricsIntFlag)
+	if c.metrics != "" {
+		cfg.Metrics = metrics.New(c.metricsInt)
 	}
 	// With the bundle going to stdout, the human report moves to stderr so
 	// the two streams stay separable.
-	rpt := io.Writer(os.Stdout)
-	if *metricsFlag == "-" {
-		rpt = os.Stderr
+	rpt := stdout
+	if c.metrics == "-" {
+		rpt = stderr
 	}
 	fmt.Fprintf(rpt, "rofsim: policy=%s workload=%s test=%s scale=%s layout=%v seed=%d\n",
-		spec.Name(), wl.Name, *testFlag, sc.Name, sc.Disk.Layout, sc.Seed)
+		sp.Policy.Name(), sp.Workload.Name, req.Test, sc.Name, sp.Disk.Layout, sp.Seed)
 
-	switch *testFlag {
-	case "alloc":
-		res, err := core.RunAllocation(cfg)
-		if err != nil {
-			fatal("%v", err)
+	out, err := cluster.Run(cfg, sp.Cluster, sp.Kind)
+	if err != nil {
+		return err
+	}
+	if tf != nil {
+		if err := tf.Close(); err != nil {
+			return err
 		}
+	}
+	report(rpt, out)
+
+	switch c.metrics {
+	case "":
+	case "-":
+		return cfg.Metrics.Write(stdout, metricsFmt)
+	default:
+		if err := cfg.Metrics.WriteFile(c.metrics, metricsFmt); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "rofsim: wrote metrics bundle to %s\n", c.metrics)
+	}
+	return nil
+}
+
+// spec builds req's Spec, over the -workload-file workload when one is
+// given.
+func (c *cli) spec(req *service.RunRequest) (runner.Spec, error) {
+	if c.wlFile == "" {
+		return req.Spec()
+	}
+	f, err := os.Open(c.wlFile)
+	if err != nil {
+		return runner.Spec{}, err
+	}
+	defer f.Close()
+	wl, err := workload.FromJSON(f)
+	if err != nil {
+		return runner.Spec{}, err
+	}
+	return req.SpecWith(wl)
+}
+
+// report prints the human-readable result block for the outcome's test.
+func report(rpt io.Writer, out core.Outcome) {
+	switch out.Kind {
+	case core.Allocation:
+		res := out.Frag
 		fmt.Fprintf(rpt, "  disk filled:            %v (after %d operations)\n", res.Filled, res.Ops)
 		fmt.Fprintf(rpt, "  internal fragmentation: %.2f%% of allocated space\n", res.InternalPct)
 		fmt.Fprintf(rpt, "  external fragmentation: %.2f%% of total space\n", res.ExternalPct)
 		if res.ExtentsPerFile > 0 {
 			fmt.Fprintf(rpt, "  extents per file:       %.1f\n", res.ExtentsPerFile)
 		}
-	case "app", "seq":
-		var res core.PerfResult
-		switch {
-		case cc.Enabled():
-			if *testFlag != "app" {
-				fatal("cluster mode requires -test app")
-			}
-			var out core.Outcome
-			out, err = cluster.Run(cfg, cc, core.Application)
-			res = out.Perf
-		case *testFlag == "app":
-			res, err = core.RunApplication(cfg)
-		default:
-			res, err = core.RunSequential(cfg)
-		}
-		if err != nil {
-			fatal("%v", err)
-		}
+	case core.Application, core.Sequential:
+		res := out.Perf
 		fmt.Fprintf(rpt, "  throughput:   %.1f%% of maximum (%s)\n", res.Percent, stability(res))
 		fmt.Fprintf(rpt, "  simulated:    %.1f s, %d operations, %s moved\n",
 			res.SimMS/1000, res.Ops, units.Format(res.Bytes))
@@ -298,11 +244,8 @@ func main() {
 				units.Format(co.MergeReadBytes), units.Format(co.MergeWriteBytes))
 			fmt.Fprintf(rpt, "  write amp:    %.2fx, live segments per tier %v\n", co.WriteAmp, co.Live)
 		}
-	case "aging":
-		res, err := core.RunAging(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
+	case core.Aging:
+		res := out.Aging
 		f := res.Final()
 		fmt.Fprintf(rpt, "  churn:        %.1f h simulated, %d operations, %d disk-full conditions\n",
 			res.SimMS/3.6e6, res.Ops, res.AllocFails)
@@ -311,17 +254,6 @@ func main() {
 		fmt.Fprintf(rpt, "  fragmentation: %.2f%% internal, %.2f%% external at %.1f%% utilization\n",
 			f.InternalPct, f.ExternalPct, f.Utilization*100)
 		fmt.Fprintf(rpt, "  objects:      %d files, %s mean size\n", f.Files, units.Format(int64(f.MeanFileBytes)))
-	default:
-		fatal("unknown test %q", *testFlag)
-	}
-
-	if *metricsFlag != "" {
-		if err := cfg.Metrics.WriteFile(*metricsFlag, metricsFmt); err != nil {
-			fatal("%v", err)
-		}
-		if *metricsFlag != "-" {
-			fmt.Fprintf(os.Stderr, "rofsim: wrote metrics bundle to %s\n", *metricsFlag)
-		}
 	}
 }
 
@@ -330,27 +262,4 @@ func stability(res core.PerfResult) string {
 		return fmt.Sprintf("stabilized after %d windows", res.Windows)
 	}
 	return "time-capped; overall average"
-}
-
-func parseSize(s string) (int64, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = units.KB, strings.TrimSuffix(s, "K")
-	case strings.HasSuffix(s, "M"):
-		mult, s = units.MB, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "G"):
-		mult, s = units.GB, strings.TrimSuffix(s, "G")
-	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil {
-		return 0, fmt.Errorf("cannot parse size %q", s)
-	}
-	return n * mult, nil
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rofsim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -4,36 +4,7 @@ import (
 	"testing"
 
 	"rofs/internal/core"
-	"rofs/internal/units"
 )
-
-func TestParseSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"4K", 4 * units.KB, true},
-		{"4k", 4 * units.KB, true},
-		{"16K", 16 * units.KB, true},
-		{"1M", units.MB, true},
-		{"2G", 2 * units.GB, true},
-		{"512", 512, true},
-		{" 24K ", 24 * units.KB, true},
-		{"", 0, false},
-		{"K", 0, false},
-		{"x4K", 0, false},
-	}
-	for _, c := range cases {
-		got, err := parseSize(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("parseSize(%q) accepted", c.in)
-		}
-	}
-}
 
 func TestStability(t *testing.T) {
 	if got := stability(core.PerfResult{Stable: true, Windows: 3}); got != "stabilized after 3 windows" {

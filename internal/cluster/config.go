@@ -101,12 +101,13 @@ func (c Config) EffectiveRouting() string {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	if c.Instances < 0 {
+		return fmt.Errorf("cluster: Instances %d must be >= 0", c.Instances)
+	}
 	if !c.Enabled() {
 		return nil
 	}
 	switch {
-	case c.Instances < 1:
-		return fmt.Errorf("cluster: Instances %d must be >= 1", c.Instances)
 	case c.SnapshotMS < 0:
 		return fmt.Errorf("cluster: SnapshotMS %g must be >= 0", c.SnapshotMS)
 	case c.FaultInstance < 0 || c.FaultInstance >= c.Instances:

@@ -8,8 +8,8 @@ import (
 )
 
 // Flags binds the cluster knobs to a flag set — the one vocabulary shared
-// by rofsim, rofs-sweep, and rofs-tables, so a fleet configuration
-// reproduces verbatim across front ends.
+// by rofsim, rofs-client and rofs-sweep (through service.AddScenarioFlags),
+// so a fleet configuration reproduces verbatim across front ends.
 type Flags struct {
 	instances  *int
 	routing    *string
@@ -75,10 +75,11 @@ func (f *Flags) Config() Config {
 
 // Arrivals returns the open-loop arrival process the flags declare —
 // Poisson at -rate, or a replayed -arrival-trace file (loaded here) — or
-// nil when neither is set (closed-loop user sessions).
+// nil when neither is set (closed-loop user sessions). A negative rate is
+// returned as given, for workload validation to reject.
 func (f *Flags) Arrivals() (*workload.Arrivals, error) {
 	if *f.traceFile != "" {
-		if *f.rate > 0 {
+		if *f.rate != 0 {
 			return nil, fmt.Errorf("-rate and -arrival-trace are mutually exclusive")
 		}
 		a, err := workload.LoadTraceFile(*f.traceFile)
@@ -88,7 +89,7 @@ func (f *Flags) Arrivals() (*workload.Arrivals, error) {
 		a.Clients = *f.clients
 		return a, nil
 	}
-	if *f.rate <= 0 {
+	if *f.rate == 0 {
 		return nil, nil
 	}
 	return &workload.Arrivals{RatePerSec: *f.rate, Clients: *f.clients}, nil

@@ -56,16 +56,10 @@ func (r *AgingResult) Final() AgingSample {
 	return AgingSample{}
 }
 
-// RunAging performs the aging test: initialization, fill to the lower
-// utilization bound, then create/grow/truncate/delete churn held inside
-// the utilization band for MaxSimMS of simulated time, sampling the
-// free-space shape along the way.
-func RunAging(cfg Config) (AgingResult, error) {
-	out, err := Run(cfg, Aging)
-	return out.Aging, err
-}
-
-// aging runs the long-horizon churn on a fresh space-only instance.
+// aging runs the aging test (Run with kind Aging) on a fresh space-only
+// instance: initialization, fill to the lower utilization bound, then
+// create/grow/truncate/delete churn held inside the utilization band for
+// MaxSimMS of simulated time, sampling the free-space shape along the way.
 func (s *Instance) aging() (AgingResult, error) {
 	res := AgingResult{Policy: s.cfg.Policy.Name(), Workload: s.cfg.Workload.Name}
 	if s.initFiles() {

@@ -17,6 +17,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"rofs/internal/alloc/extent"
 	"rofs/internal/core"
@@ -51,6 +52,19 @@ func BenchScale() Scale {
 	cfg.NDisks = 2
 	cfg.Geometry.Cylinders = 200
 	return Scale{Name: "bench", Disk: cfg, Div: 32, MaxSimMS: 120_000, Seed: 42}
+}
+
+// ScaleByName resolves a scale name, ignoring case: "full", or "bench"
+// (also what an empty name means). Every front end that takes a scale
+// name resolves it here.
+func ScaleByName(name string) (Scale, error) {
+	switch strings.ToLower(name) {
+	case "", "bench":
+		return BenchScale(), nil
+	case "full":
+		return FullScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want full or bench)", name)
 }
 
 // Workload returns a workload scaled per the Scale's divisor: TS divides
@@ -103,8 +117,8 @@ func (sc Scale) Spec(p core.PolicySpec, wl workload.Workload, kind core.TestKind
 	}
 }
 
-// Config assembles a core.Config for one run. Direct callers (examples,
-// rofsim) use it; the declarative path goes through Spec.
+// Config assembles a core.Config for one run. Direct callers (the
+// examples) use it; the declarative path goes through Spec.
 func (sc Scale) Config(p core.PolicySpec, wl workload.Workload) core.Config {
 	return sc.Spec(p, wl, core.Allocation).Config()
 }

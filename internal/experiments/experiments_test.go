@@ -236,3 +236,15 @@ func TestUnitsSanity(t *testing.T) {
 		t.Fatal("units drifted")
 	}
 }
+
+func TestScaleByName(t *testing.T) {
+	for name, want := range map[string]string{"": "bench", "bench": "bench", "Full": "full", "full": "full"} {
+		sc, err := ScaleByName(name)
+		if err != nil || sc.Name != want {
+			t.Errorf("ScaleByName(%q) = %q, %v; want %q", name, sc.Name, err, want)
+		}
+	}
+	if _, err := ScaleByName("foo"); err == nil || !strings.Contains(err.Error(), `unknown scale "foo"`) {
+		t.Errorf("ScaleByName(foo) error = %v", err)
+	}
+}

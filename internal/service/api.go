@@ -19,6 +19,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -34,16 +35,21 @@ import (
 	"rofs/internal/workload"
 )
 
-// RunRequest is the POST /v1/runs body. It speaks the same vocabulary as
-// the CLIs (rofsim's flags, one field per knob); zero values take the
-// CLI defaults. Sizes are bytes; the client translates "4K"-style flags.
+// RunRequest is the single run description: the POST /v1/runs body, and
+// what rofsim, rofs-client and rofs-sweep fill from their flags (see
+// AddRunFlags). It speaks the CLIs' vocabulary, one field per knob; zero
+// values take the CLI defaults. Sizes are bytes; the flag binder
+// translates "4K"-style flags. Spec is the only code that turns a
+// description into a runner.Spec.
 type RunRequest struct {
 	Policy   string `json:"policy"`          // buddy | rbuddy | extent | fixed
 	Workload string `json:"workload"`        // TS | TP | SC
 	Test     string `json:"test"`            // alloc | app | seq | aging
 	Scale    string `json:"scale,omitempty"` // full | bench (default bench)
-	Seed     int64  `json:"seed,omitempty"`  // default 42
-	Name     string `json:"name,omitempty"`  // presentation-only label
+	// Seed defaults to 42 when zero, unless set explicitly: a JSON "seed"
+	// key, a bound -seed flag, or SetSeed.
+	Seed int64  `json:"seed,omitempty"`
+	Name string `json:"name,omitempty"` // presentation-only label
 
 	// rbuddy knobs (defaults: 5 sizes, grow 1, clustered).
 	Sizes     int     `json:"sizes,omitempty"`
@@ -98,25 +104,92 @@ type RunRequest struct {
 	// TimeoutMS bounds the run's wall time; past it the simulation is
 	// canceled and the run fails. Zero means the server's default.
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
+
+	// seedSet marks Seed as given explicitly, so that 0 means seed 0
+	// rather than the default.
+	seedSet bool
+}
+
+// SetSeed sets the run seed explicitly: unlike a bare Seed field, a zero
+// here runs seed 0, not the default 42.
+func (req *RunRequest) SetSeed(seed int64) {
+	req.Seed, req.seedSet = seed, true
+}
+
+// UnmarshalJSON decodes a request body strictly (unknown fields are
+// errors) and records whether it carried a "seed" key, so that an absent
+// seed means 42 and "seed": 0 means seed 0.
+func (req *RunRequest) UnmarshalJSON(b []byte) error {
+	// Decode through a method-less copy of the type. Naming it RunRequest
+	// keeps decode errors worded as they always were.
+	type plain RunRequest
+	type RunRequest plain
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode((*RunRequest)(req)); err != nil {
+		return err
+	}
+	var seed struct {
+		Seed *int64 `json:"seed"`
+	}
+	if json.Unmarshal(b, &seed) == nil && seed.Seed != nil {
+		req.seedSet = true
+	}
+	return nil
+}
+
+// MarshalJSON writes an explicit zero seed as "seed": 0, which the
+// omitempty tag would otherwise drop (and the server would read as 42).
+func (req RunRequest) MarshalJSON() ([]byte, error) {
+	type plain RunRequest
+	if !req.seedSet || req.Seed != 0 {
+		return json.Marshal(plain(req))
+	}
+	return json.Marshal(struct {
+		plain
+		Seed int64 `json:"seed"`
+	}{plain: plain(req)})
 }
 
 // Spec validates the request and assembles the runner.Spec it declares,
-// reusing the experiments.Scale plumbing so a request and the equivalent
-// rofsim invocation build byte-identical configurations (and therefore
-// identical Spec cache keys).
+// reusing the experiments.Scale plumbing. It is the one place a run
+// description becomes a run: the server calls it per request, and the
+// CLIs call it on the request their flags describe, so an invocation and
+// the equivalent JSON body build identical Specs (and cache keys) or fail
+// with the same message.
 func (req *RunRequest) Spec() (runner.Spec, error) {
+	return req.spec(nil)
+}
+
+// SpecWith is Spec with wl, used as given, in place of the named scaled
+// workload: rofsim's -workload-file. The server never offers it, since it
+// does not read files named by clients.
+func (req *RunRequest) SpecWith(wl workload.Workload) (runner.Spec, error) {
+	return req.spec(&wl)
+}
+
+func (req *RunRequest) spec(custom *workload.Workload) (runner.Spec, error) {
 	var zero runner.Spec
 
-	var sc experiments.Scale
-	switch strings.ToLower(req.Scale) {
-	case "", "bench":
-		sc = experiments.BenchScale()
-	case "full":
-		sc = experiments.FullScale()
-	default:
-		return zero, fmt.Errorf("unknown scale %q (want full or bench)", req.Scale)
+	// Negated comparisons also reject NaN, which a -max-sim flag can spell.
+	switch {
+	case req.Disks < 0:
+		return zero, fmt.Errorf("disks must be non-negative, got %d", req.Disks)
+	case req.StripeBytes < 0:
+		return zero, fmt.Errorf("stripe_bytes must be non-negative, got %d", req.StripeBytes)
+	case !(req.MaxSimMS >= 0):
+		return zero, fmt.Errorf("max_sim_ms must be non-negative, got %g", req.MaxSimMS)
+	case !(req.TimeoutMS >= 0):
+		return zero, fmt.Errorf("timeout_ms must be non-negative, got %g", req.TimeoutMS)
+	case req.StableWindows < 0:
+		return zero, fmt.Errorf("stable_windows must be non-negative, got %d", req.StableWindows)
 	}
-	if req.Seed != 0 {
+
+	sc, err := experiments.ScaleByName(req.Scale)
+	if err != nil {
+		return zero, err
+	}
+	if req.Seed != 0 || req.seedSet {
 		sc.Seed = req.Seed
 	}
 	if req.MaxSimMS > 0 {
@@ -140,8 +213,8 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 	if req.StripeBytes > 0 {
 		sc.Disk.StripeUnitBytes = req.StripeBytes
 	}
-	if req.Degraded && sc.Disk.Layout != disk.RAID5 {
-		return zero, fmt.Errorf("degraded mode requires the raid5 layout")
+	if err := sc.Disk.Validate(); err != nil {
+		return zero, err
 	}
 	var faults fault.Scenario
 	if req.Faults != nil {
@@ -149,13 +222,20 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if err := faults.Validate(); err != nil {
 			return zero, err
 		}
-		if faults.FailsDrive() && sc.Disk.Layout != disk.RAID5 {
-			return zero, fmt.Errorf("drive-failure faults require the raid5 layout")
-		}
+	}
+	switch {
+	case (req.Degraded || faults.PreFail) && sc.Disk.Layout != disk.RAID5:
+		return zero, fmt.Errorf("degraded mode requires the raid5 layout")
+	case faults.FailsDrive() && sc.Disk.Layout != disk.RAID5:
+		return zero, fmt.Errorf("drive-failure faults require the raid5 layout")
+	case (faults.PreFail || faults.FailsDrive()) && faults.FailDrive >= sc.Disk.NDisks:
+		return zero, fmt.Errorf("fail_drive %d is outside the %d-drive array", faults.FailDrive, sc.Disk.NDisks)
 	}
 
-	wl, err := sc.Workload(req.Workload)
-	if err != nil {
+	var wl workload.Workload
+	if custom != nil {
+		wl = *custom
+	} else if wl, err = sc.Workload(req.Workload); err != nil {
 		return zero, err
 	}
 	if req.Arrivals != nil {
@@ -221,6 +301,9 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if grow == 0 {
 			grow = 1
 		}
+		if !(grow >= 1) {
+			return zero, fmt.Errorf("rbuddy grow factor must be >= 1, got %g", grow)
+		}
 		if req.Clustered != nil {
 			clustered = *req.Clustered
 		}
@@ -248,14 +331,15 @@ func (req *RunRequest) Spec() (runner.Spec, error) {
 		if block == 0 {
 			block = 4 * units.KB
 		}
+		if block < 0 || block%sc.Disk.UnitBytes != 0 {
+			return zero, fmt.Errorf("block_bytes must be a positive multiple of the %d-byte disk unit, got %d",
+				sc.Disk.UnitBytes, block)
+		}
 		policy = core.Fixed(block)
 	default:
 		return zero, fmt.Errorf("unknown policy %q (want buddy, rbuddy, extent, or fixed)", req.Policy)
 	}
 
-	if req.StableWindows < 0 {
-		return zero, fmt.Errorf("stable_windows must be non-negative, got %d", req.StableWindows)
-	}
 	sp := sc.Spec(policy, wl, kind)
 	sp.Name = req.Name
 	sp.StableWindows = req.StableWindows

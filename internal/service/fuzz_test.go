@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"rofs/internal/sim"
 )
 
 // FuzzRunRequest hardens the POST /v1/runs decode path against arbitrary
@@ -23,6 +25,14 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add(`{`)
 	f.Add(`[]`)
 	f.Add(`{"policy":"buddy","workload":"TS","test":"app","blocksize":17}`)
+	// Every run description the CLIs and the server must agree on,
+	// including each one the parser rejects.
+	for _, row := range parityRows {
+		f.Add(row.body)
+	}
+	for _, field := range negativeFields {
+		f.Add(field.body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		var req RunRequest
 		dec := json.NewDecoder(strings.NewReader(body))
@@ -46,6 +56,14 @@ func FuzzRunRequest(f *testing.F) {
 		cfg := sp.Config()
 		if cfg.Policy.Kind == "" || cfg.Workload.Name == "" {
 			t.Fatalf("accepted request built an incomplete config: %+v", cfg)
+		}
+		// Its knobs must not fail at run time: the disk and the policy
+		// build.
+		if err := cfg.Disk.Validate(); err != nil {
+			t.Fatalf("accepted request carries an invalid disk: %v", err)
+		}
+		if _, err := cfg.Policy.Build(1<<16, cfg.Disk.UnitBytes, sim.NewRNG(1)); err != nil {
+			t.Fatalf("accepted request carries an unbuildable policy: %v", err)
 		}
 	})
 }

@@ -8,8 +8,12 @@
 package units
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
+	"strconv"
+	"strings"
 )
 
 // Binary byte-size constants. The paper (and this codebase) use binary
@@ -93,6 +97,38 @@ func CeilDiv(a, b int64) int64 {
 		panic(fmt.Sprintf("units: CeilDiv with non-positive divisor %d", b))
 	}
 	return (a + b - 1) / b
+}
+
+// ParseSize reads a byte count written as a non-negative integer with an
+// optional K, M or G suffix (binary multiples, either case): "512", "24K",
+// "1m". Anything else — a sign, a fraction, trailing junk, a value past
+// int64 — is an error rather than a truncated or wrapped number.
+func ParseSize(s string) (int64, error) {
+	num, mult := strings.ToUpper(strings.TrimSpace(s)), B
+	if n := len(num); n > 0 {
+		switch num[n-1] {
+		case 'K':
+			mult = KB
+		case 'M':
+			mult = MB
+		case 'G':
+			mult = GB
+		}
+		if mult != B {
+			num = num[:n-1]
+		}
+	}
+	v, err := strconv.ParseUint(num, 10, 63)
+	if err != nil {
+		if errors.Is(err, strconv.ErrRange) {
+			return 0, fmt.Errorf("size %q overflows int64", s)
+		}
+		return 0, fmt.Errorf("bad size %q (want a non-negative integer with an optional K, M or G suffix)", s)
+	}
+	if int64(v) > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows int64", s)
+	}
+	return int64(v) * mult, nil
 }
 
 // Format renders a byte count the way the paper does: "8K", "1M", "2.8G".

@@ -1,6 +1,7 @@
 package units
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -170,6 +171,47 @@ func TestRoundingProperty(t *testing.T) {
 		}
 		if !IsAligned(up, align) || !IsAligned(down, align) {
 			t.Fatalf("results not aligned: up=%d down=%d align=%d", up, down, align)
+		}
+	}
+}
+
+func TestParseSize(t *testing.T) {
+	cases := []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"4K", 4 * KB, true},
+		{"4k", 4 * KB, true},
+		{"16K", 16 * KB, true},
+		{"1M", MB, true},
+		{"2G", 2 * GB, true},
+		{"512", 512, true},
+		{"0", 0, true},
+		{" 24K ", 24 * KB, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"8589934591G", 8589934591 * GB, true},
+		{"", 0, false},
+		{"K", 0, false},
+		{"x4K", 0, false},
+		// Each of these once parsed as a prefix, a negative, or a wrapped
+		// number instead of failing.
+		{"4.5K", 0, false},
+		{"4xK", 0, false},
+		{"-24K", 0, false},
+		{"+24K", 0, false},
+		{"24KB", 0, false},
+		{"9223372036854775808", 0, false},
+		{"8589934592G", 0, false},
+		{"99999999999999999999K", 0, false},
+	}
+	for _, c := range cases {
+		got, err := ParseSize(c.in)
+		if c.ok && (err != nil || got != c.want) {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", c.in, got)
 		}
 	}
 }

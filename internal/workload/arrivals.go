@@ -85,7 +85,7 @@ func (a *Arrivals) Validate(w *Workload) error {
 	}
 	switch a.EffectiveMode() {
 	case ArrivalsPoisson:
-		if a.RatePerSec <= 0 {
+		if !(a.RatePerSec > 0) {
 			return fmt.Errorf("workload %q: poisson arrivals need rate_per_s > 0, got %g", w.Name, a.RatePerSec)
 		}
 		if len(a.Trace) > 0 {
