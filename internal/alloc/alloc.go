@@ -16,6 +16,7 @@ package alloc
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrNoSpace is returned when a policy cannot satisfy an allocation
@@ -65,8 +66,12 @@ type File interface {
 	// AllocatedUnits returns the total allocation.
 	AllocatedUnits() int64
 	// Grow extends the allocation by at least min units, returning the
-	// extents added (in logical order). On ErrNoSpace the allocation is
-	// unchanged.
+	// extents added (in logical order): folding them into the previous
+	// Extents() with AppendExtent gives the new Extents(). On ErrNoSpace
+	// the allocation is unchanged. The returned slice is the policy's
+	// reusable scratch, shared by all of its files: it must not be
+	// mutated, and it is valid only until the next Grow on any file of
+	// the same policy.
 	Grow(min int64) ([]Extent, error)
 	// TruncateTo shrinks the allocation to the smallest policy-expressible
 	// size >= units (policies that allocate whole blocks cannot split
@@ -128,6 +133,27 @@ func AppendExtent(list []Extent, e Extent) []Extent {
 	return append(list, e)
 }
 
+// AppendExtents folds every extent of added into list with AppendExtent,
+// growing list at most once: a policy's Grow commits the extents it took
+// this way, so a file's extent list costs one allocation per Grow at most.
+func AppendExtents(list, added []Extent) []Extent {
+	n, end := 0, int64(-1)
+	if len(list) > 0 {
+		end = list[len(list)-1].End()
+	}
+	for _, e := range added {
+		if e.Start != end {
+			n++
+		}
+		end = e.End()
+	}
+	list = slices.Grow(list, n)
+	for _, e := range added {
+		list = AppendExtent(list, e)
+	}
+	return list
+}
+
 // TrimExtent is the inverse of AppendExtent: it removes the last n units
 // of list, shortening the last entry and dropping it when it empties.
 // Policies free whole trailing granules, each of which AppendExtent folded
@@ -146,8 +172,6 @@ func TrimExtent(list []Extent, n int64) []Extent {
 // between extents (logical order need not be physical order). It is used
 // by tests and the fs layer's paranoia checks.
 func Validate(list []Extent, total int64) error {
-	type span struct{ s, e int64 }
-	spans := make([]span, 0, len(list))
 	for i, e := range list {
 		if e.Len <= 0 {
 			return fmt.Errorf("alloc: extent %d has non-positive length %d", i, e.Len)
@@ -155,12 +179,11 @@ func Validate(list []Extent, total int64) error {
 		if e.Start < 0 || e.End() > total {
 			return fmt.Errorf("alloc: extent %d %v outside [0,%d)", i, e, total)
 		}
-		spans = append(spans, span{e.Start, e.End()})
 	}
 	// O(n²) is fine at validation call sites (tests, assertions).
-	for i := range spans {
-		for j := i + 1; j < len(spans); j++ {
-			if spans[i].s < spans[j].e && spans[j].s < spans[i].e {
+	for i, a := range list {
+		for j := i + 1; j < len(list); j++ {
+			if b := list[j]; a.Start < b.End() && b.Start < a.End() {
 				return fmt.Errorf("alloc: extents %d and %d overlap", i, j)
 			}
 		}

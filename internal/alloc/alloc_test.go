@@ -29,6 +29,31 @@ func TestAppendExtentMergesAdjacent(t *testing.T) {
 	}
 }
 
+// TestAppendExtentsMatchesFold: AppendExtents gives what folding each
+// extent in turn with AppendExtent gives.
+func TestAppendExtentsMatchesFold(t *testing.T) {
+	cases := []struct {
+		name        string
+		list, added []Extent
+	}{
+		{"into empty", nil, []Extent{{0, 8}, {8, 8}, {32, 4}}},
+		{"nothing added", []Extent{{0, 8}}, nil},
+		{"first merges into last", []Extent{{0, 8}}, []Extent{{8, 8}, {64, 8}}},
+		{"none merge", []Extent{{100, 4}}, []Extent{{0, 1}, {2, 1}, {4, 1}, {6, 1}, {8, 1}}},
+		{"all merge", []Extent{{0, 1}}, []Extent{{1, 1}, {2, 2}, {4, 4}, {8, 8}}},
+		{"adjacent to an earlier entry only", []Extent{{0, 8}, {32, 8}}, []Extent{{8, 8}}},
+	}
+	for _, c := range cases {
+		want := slices.Clone(c.list)
+		for _, e := range c.added {
+			want = AppendExtent(want, e)
+		}
+		if got := AppendExtents(slices.Clone(c.list), c.added); !slices.Equal(got, want) {
+			t.Errorf("%s: AppendExtents(%v, %v) = %v, want %v", c.name, c.list, c.added, got, want)
+		}
+	}
+}
+
 // TestTrimExtentUndoesAppend: trimming the length just appended restores
 // the list, whether the append opened a new entry or lengthened a merged
 // one.

@@ -17,6 +17,7 @@ package buddy
 
 import (
 	"fmt"
+	"slices"
 
 	"rofs/internal/alloc"
 	"rofs/internal/container/bitset"
@@ -70,6 +71,9 @@ type Policy struct {
 	orders []*bitset.Set
 	free   int64
 	stats  alloc.OpStats
+	// grown is Grow's reusable scratch, one extent per block the call
+	// takes; Grow commits from it, rolls back from it and returns it.
+	grown []alloc.Extent
 }
 
 // OpStats implements alloc.StatsReporter.
@@ -213,33 +217,35 @@ func (f *file) nextExtentUnits(allocated int64) int64 {
 
 // Grow implements alloc.File: it allocates doubling extents until at least
 // min new units have been added. Nothing is committed until every extent
-// has been acquired, so a failure leaves the allocation unchanged.
+// has been acquired, so a failure leaves the allocation unchanged. The
+// extents it returns are one per block, unmerged.
 func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	if min <= 0 {
 		return nil, nil
 	}
-	var added []alloc.Extent
-	var addedBlocks []block
+	p := f.p
+	added := p.grown[:0]
 	var got int64
 	for got < min {
 		size := f.nextExtentUnits(f.allocated + got)
-		order := units.Log2(size)
-		addr, err := f.p.allocBlock(order)
+		addr, err := p.allocBlock(units.Log2(size))
 		if err != nil {
-			for _, b := range addedBlocks {
-				f.p.freeBlock(b.addr, b.order)
+			for _, e := range added {
+				p.freeBlock(e.Start, units.Log2(e.Len))
 			}
+			p.grown = added
 			return nil, err
 		}
 		added = append(added, alloc.Extent{Start: addr, Len: size})
-		addedBlocks = append(addedBlocks, block{addr, order})
 		got += size
 	}
-	f.blocks = append(f.blocks, addedBlocks...)
-	f.allocated += got
+	p.grown = added
+	f.blocks = slices.Grow(f.blocks, len(added))
 	for _, e := range added {
-		f.extents = alloc.AppendExtent(f.extents, e)
+		f.blocks = append(f.blocks, block{e.Start, units.Log2(e.Len)})
 	}
+	f.extents = alloc.AppendExtents(f.extents, added)
+	f.allocated += got
 	return added, nil
 }
 

@@ -334,3 +334,25 @@ func TestAllocFreeAllocatesNothing(t *testing.T) {
 		t.Fatalf("FreeUnits = %d after the cycle, want %d", p.FreeUnits(), 1<<20)
 	}
 }
+
+// TestGrowTruncateAllocatesNothing: once the file's block and extent lists
+// have grown to size, a grow/truncate cycle reuses them and the policy's
+// Grow scratch, so it allocates nothing.
+func TestGrowTruncateAllocatesNothing(t *testing.T) {
+	p := newPolicy(t, 1<<20)
+	f := p.NewFile(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for f.AllocatedUnits() < 64 {
+			if _, err := f.Grow(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := f.Grow(1000); err != nil { // several blocks in one call
+			t.Fatal(err)
+		}
+		f.TruncateTo(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("grow/truncate cycle: %v allocs, want 0", allocs)
+	}
+}

@@ -93,6 +93,9 @@ type Policy struct {
 	cfg   Config
 	free  *freelist.T
 	stats alloc.OpStats
+	// grown is Grow's reusable scratch, the extents one call takes as
+	// allocated; Grow commits from it, rolls back from it and returns it.
+	grown []alloc.Extent
 }
 
 // OpStats implements alloc.StatsReporter. Coalesces come from the free
@@ -200,8 +203,9 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	if min <= 0 {
 		return nil, nil
 	}
+	p := f.p
 	sized := f.allocated == 0
-	var added []alloc.Extent
+	added := p.grown[:0]
 	var got int64
 	for got < min {
 		size := f.drawExtentUnits()
@@ -210,27 +214,27 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		}
 		var run freelist.Run
 		var ok bool
-		if f.p.cfg.Fit == BestFit {
-			run, ok = f.p.free.BestFit(size)
+		if p.cfg.Fit == BestFit {
+			run, ok = p.free.BestFit(size)
 		} else {
-			run, ok = f.p.free.FirstFit(size)
+			run, ok = p.free.FirstFit(size)
 		}
 		if !ok {
 			for _, e := range added {
-				f.p.free.Insert(e.Start, e.Len)
-				f.p.stats.Frees++
+				p.free.Insert(e.Start, e.Len)
+				p.stats.Frees++
 			}
+			p.grown = added
 			return nil, alloc.ErrNoSpace
 		}
-		f.p.free.Alloc(run.Addr, size)
-		f.p.stats.Allocs++
+		p.free.Alloc(run.Addr, size)
+		p.stats.Allocs++
 		added = append(added, alloc.Extent{Start: run.Addr, Len: size})
 		got += size
 	}
+	p.grown = added
 	f.pieces = append(f.pieces, added...)
-	for _, e := range added {
-		f.merged = alloc.AppendExtent(f.merged, e)
-	}
+	f.merged = alloc.AppendExtents(f.merged, added)
 	f.allocated += got
 	return added, nil
 }

@@ -271,3 +271,28 @@ func TestNameAndSizes(t *testing.T) {
 		t.Fatal("TotalUnits wrong")
 	}
 }
+
+// TestGrowTruncateAllocatesNothing: once the file's extent lists have
+// grown to size, a cycle of a sized creation, incremental growth and a
+// truncation to zero reuses them, the policy's Grow scratch and the free
+// list's nodes, so it allocates nothing.
+func TestGrowTruncateAllocatesNothing(t *testing.T) {
+	for _, fit := range []Fit{FirstFit, BestFit} {
+		p := newPolicy(t, 1<<20, fit, 8, 64)
+		f := p.NewFile(64)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := f.Grow(300); err != nil { // creation, cut to fit
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if _, err := f.Grow(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.TruncateTo(0)
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: grow/truncate cycle: %v allocs, want 0", fit, allocs)
+		}
+	}
+}

@@ -48,6 +48,11 @@ type Policy struct {
 	sorted *bitset.Set
 	free   int64 // free blocks
 	stats  alloc.OpStats
+	// grownBlocks and grown are Grow's reusable scratch: the blocks one
+	// call takes, and their extents folded with AppendExtent. Grow
+	// commits from them, rolls back from them and returns grown.
+	grownBlocks []int64
+	grown       []alloc.Extent
 }
 
 // OpStats implements alloc.StatsReporter. Fixed blocks never coalesce.
@@ -162,28 +167,30 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	if min <= 0 {
 		return nil, nil
 	}
-	bu := f.p.cfg.BlockUnits
+	p := f.p
+	bu := p.cfg.BlockUnits
 	need := (min + bu - 1) / bu
-	newBlocks := make([]int64, 0, need)
-	for int64(len(newBlocks)) < need {
-		b, err := f.p.allocBlock()
+	blocks := p.grownBlocks[:0]
+	for int64(len(blocks)) < need {
+		b, err := p.allocBlock()
 		if err != nil {
-			for _, rb := range newBlocks {
-				f.p.freeBlock(rb)
+			for _, rb := range blocks {
+				p.freeBlock(rb)
 			}
+			p.grownBlocks = blocks
 			return nil, err
 		}
-		newBlocks = append(newBlocks, b)
+		blocks = append(blocks, b)
 	}
-	f.blocks = append(f.blocks, newBlocks...)
+	p.grownBlocks = blocks
+	f.blocks = append(f.blocks, blocks...)
 	f.allocated += need * bu
-	added := make([]alloc.Extent, 0, len(newBlocks))
-	for _, b := range newBlocks {
+	added := p.grown[:0]
+	for _, b := range blocks {
 		added = alloc.AppendExtent(added, alloc.Extent{Start: b * bu, Len: bu})
 	}
-	for _, e := range added {
-		f.extents = alloc.AppendExtent(f.extents, e)
-	}
+	p.grown = added
+	f.extents = alloc.AppendExtents(f.extents, added)
 	return added, nil
 }
 

@@ -203,3 +203,30 @@ func TestDoubleFreePanics(t *testing.T) {
 		})
 	}
 }
+
+// TestGrowTruncateAllocatesNothing: once the file's block and extent lists
+// have grown to size, a grow/truncate cycle reuses them and the policy's
+// Grow scratch, so it allocates nothing.
+func TestGrowTruncateAllocatesNothing(t *testing.T) {
+	for _, order := range []Order{LIFO, AddressOrdered} {
+		p, err := New(Config{TotalUnits: 1 << 16, BlockUnits: 4, Order: order})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := p.NewFile(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := f.Grow(40); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if _, err := f.Grow(4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.TruncateTo(0)
+		})
+		if allocs != 0 {
+			t.Fatalf("order %d: grow/truncate cycle: %v allocs, want 0", order, allocs)
+		}
+	}
+}

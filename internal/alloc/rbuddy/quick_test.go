@@ -78,12 +78,12 @@ func TestQuickRBuddyInvariants(t *testing.T) {
 func TestQuickGrowPolicyMonotone(t *testing.T) {
 	sizes := []int64{1, 8, 64, 512}
 	prop := func(raw [4]uint16, level uint8) bool {
-		uac := make([]int64, len(sizes))
-		for i := range uac {
+		var uac [maxSizes]int64
+		for i := range sizes {
 			uac[i] = int64(raw[i])
 		}
 		start := int(level) % len(sizes)
-		next := nextClass(start, uac, sizes, 1)
+		next := nextClass(start, &uac, sizes, 1)
 		return next >= start && next < len(sizes)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {

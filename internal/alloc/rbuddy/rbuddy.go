@@ -35,12 +35,18 @@ import (
 	"rofs/internal/units"
 )
 
+// maxSizes is the most block sizes a policy supports: the paper's largest
+// configuration, {1K,8K,64K,1M,16M}. A file keeps its per-class unit
+// counts in a fixed array of this length.
+const maxSizes = 5
+
 // Config parameterizes the policy. Sizes are in disk units.
 type Config struct {
 	TotalUnits int64
 	// SizesUnits are the supported block sizes, ascending; each must
 	// divide the next (the paper's configurations: {1K,8K}, {1K,8K,64K},
-	// {1K,8K,64K,1M}, {1K,8K,64K,1M,16M}, expressed in units).
+	// {1K,8K,64K,1M}, {1K,8K,64K,1M,16M}, expressed in units). At most
+	// maxSizes.
 	SizesUnits []int64
 	// GrowFactor is the grow-policy multiplier g (the paper evaluates 1
 	// and 2; fractional factors such as 1.5 interpolate between them).
@@ -60,6 +66,9 @@ func (c *Config) validate() error {
 	}
 	if len(c.SizesUnits) == 0 {
 		return fmt.Errorf("rbuddy: no block sizes")
+	}
+	if len(c.SizesUnits) > maxSizes {
+		return fmt.Errorf("rbuddy: %d block sizes, at most %d supported", len(c.SizesUnits), maxSizes)
 	}
 	prev := int64(0)
 	for i, s := range c.SizesUnits {
@@ -107,6 +116,12 @@ type Policy struct {
 
 	nRegions      int
 	lastSatisfied int // region index of the last satisfied request
+
+	// grownBlocks and grown are Grow's reusable scratch: the blocks one
+	// call takes, and their extents folded with AppendExtent. Grow
+	// commits from them, rolls back from them and returns grown.
+	grownBlocks []rblock
+	grown       []alloc.Extent
 }
 
 // OpStats implements alloc.StatsReporter.
@@ -387,10 +402,7 @@ func (p *Policy) freeBlock(addr int64, c int) {
 // configurations the file descriptor is placed in the region after the
 // last satisfied request (the paper's "next region" rule).
 func (p *Policy) NewFile(int64) alloc.File {
-	f := &file{
-		p:            p,
-		unitsAtClass: make([]int64, len(p.sizes)),
-	}
+	f := &file{p: p}
 	if p.cfg.Clustered {
 		f.fdRegion = (p.lastSatisfied + 1) % p.nRegions
 		p.lastSatisfied = f.fdRegion
@@ -408,7 +420,7 @@ type file struct {
 	blocks       []rblock
 	extents      []alloc.Extent
 	allocated    int64
-	unitsAtClass []int64
+	unitsAtClass [maxSizes]int64
 	level        int
 	lastEnd      int64
 	fdRegion     int
@@ -430,7 +442,7 @@ func (f *file) DescriptorCount() int { return len(f.blocks) }
 // file holds g·a_{i+1} units in a_i blocks (§4.2). Unit counts and block
 // sizes are far below 2^53, so the float comparison is exact for integer
 // grow factors and well-defined for fractional ones.
-func nextClass(level int, unitsAtClass []int64, sizes []int64, g float64) int {
+func nextClass(level int, unitsAtClass *[maxSizes]int64, sizes []int64, g float64) int {
 	for level < len(sizes)-1 && float64(unitsAtClass[level]) >= g*float64(sizes[level+1]) {
 		level++
 	}
@@ -443,40 +455,41 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 	if min <= 0 {
 		return nil, nil
 	}
+	p := f.p
 	// Tentative state: committed only if every block is obtained.
-	uac := make([]int64, len(f.unitsAtClass))
-	copy(uac, f.unitsAtClass)
+	uac := f.unitsAtClass
 	level := f.level
 	lastEnd := f.lastEnd
 	var got int64
-	var newBlocks []rblock
+	blocks := p.grownBlocks[:0]
 	for got < min {
-		level = nextClass(level, uac, f.p.sizes, f.p.cfg.GrowFactor)
-		addr, err := f.p.allocBlock(level, lastEnd, f.fdRegion)
+		level = nextClass(level, &uac, p.sizes, p.cfg.GrowFactor)
+		addr, err := p.allocBlock(level, lastEnd, f.fdRegion)
 		if err != nil {
-			for _, b := range newBlocks {
-				f.p.freeBlock(b.addr, b.class)
+			for _, b := range blocks {
+				p.freeBlock(b.addr, b.class)
 			}
+			p.grownBlocks = blocks
 			return nil, err
 		}
-		size := f.p.sizes[level]
-		newBlocks = append(newBlocks, rblock{addr, level})
+		size := p.sizes[level]
+		blocks = append(blocks, rblock{addr, level})
 		uac[level] += size
 		lastEnd = addr + size
 		got += size
 	}
-	f.blocks = append(f.blocks, newBlocks...)
-	copy(f.unitsAtClass, uac)
+	p.grownBlocks = blocks
+	f.blocks = append(f.blocks, blocks...)
+	f.unitsAtClass = uac
 	f.level = level
 	f.lastEnd = lastEnd
 	f.allocated += got
-	added := make([]alloc.Extent, 0, len(newBlocks))
-	for _, b := range newBlocks {
-		added = alloc.AppendExtent(added, alloc.Extent{Start: b.addr, Len: f.p.sizes[b.class]})
+	added := p.grown[:0]
+	for _, b := range blocks {
+		added = alloc.AppendExtent(added, alloc.Extent{Start: b.addr, Len: p.sizes[b.class]})
 	}
-	for _, e := range added {
-		f.extents = alloc.AppendExtent(f.extents, e)
-	}
+	p.grown = added
+	f.extents = alloc.AppendExtents(f.extents, added)
 	return added, nil
 }
 
@@ -504,7 +517,7 @@ func (f *file) TruncateTo(target int64) {
 			f.level = i
 		}
 	}
-	f.level = nextClass(f.level, f.unitsAtClass, f.p.sizes, f.p.cfg.GrowFactor)
+	f.level = nextClass(f.level, &f.unitsAtClass, f.p.sizes, f.p.cfg.GrowFactor)
 	if len(f.blocks) == 0 {
 		f.lastEnd = 0
 	} else {

@@ -34,6 +34,7 @@ func TestConfigValidation(t *testing.T) {
 		{TotalUnits: 100, SizesUnits: []int64{1, 8}, GrowFactor: -1},
 		{TotalUnits: 100, SizesUnits: []int64{1, 8}, Clustered: true}, // no region size
 		{TotalUnits: 100, SizesUnits: []int64{1, 8}, Clustered: true, RegionUnits: 12},
+		{TotalUnits: 1 << 20, SizesUnits: []int64{1, 2, 4, 8, 16, 32}}, // more than maxSizes
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {
@@ -439,6 +440,34 @@ func TestAllocFreeAllocatesNothing(t *testing.T) {
 		if p.FreeUnits() != p.TotalUnits() {
 			t.Fatalf("clustered=%v: FreeUnits = %d after the cycle, want %d",
 				clustered, p.FreeUnits(), p.TotalUnits())
+		}
+	}
+}
+
+// TestGrowTruncateAllocatesNothing: once the file's block and extent lists
+// have grown to size, a grow/truncate cycle up the block-size ladder
+// reuses them and the policy's Grow scratch, so it allocates nothing.
+func TestGrowTruncateAllocatesNothing(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		cfg := Config{TotalUnits: 1 << 20, SizesUnits: sizes5}
+		if clustered {
+			cfg.Clustered, cfg.RegionUnits = true, 32768
+		}
+		p := newPolicy(t, cfg)
+		f := p.NewFile(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			for f.AllocatedUnits() < 64 {
+				if _, err := f.Grow(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := f.Grow(1000); err != nil { // several blocks in one call
+				t.Fatal(err)
+			}
+			f.TruncateTo(0)
+		})
+		if allocs != 0 {
+			t.Fatalf("clustered=%v: grow/truncate cycle: %v allocs, want 0", clustered, allocs)
 		}
 	}
 }

@@ -64,6 +64,11 @@ func TestBandwidths(t *testing.T) {
 	if sys < 10.0e6 || sys > 11.5e6 {
 		t.Errorf("system sustained = %.2f M/s, want ≈10.8", sys/1e6)
 	}
+	// In closed form: eight drives each move a 9-track cylinder of 24K
+	// tracks per 10 rotations of 16.67 ms, 10,614,709 bytes/sec.
+	if want := 8 * 9 * float64(24*units.KB) / (10 * 16.67) * 1000; math.Abs(sys-want) > 1e-6 {
+		t.Errorf("system sustained = %.3f bytes/sec, want %.3f", sys, want)
+	}
 }
 
 func TestLocate(t *testing.T) {

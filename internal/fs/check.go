@@ -1,8 +1,9 @@
 package fs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rofs/internal/alloc"
 )
@@ -13,27 +14,37 @@ import (
 // length exceeding allocation, or the policy's free count disagreeing
 // with the sum of file allocations. The experiment harness and the
 // failure-injection tests run it after aging runs to catch allocator
-// bookkeeping bugs that individual operations would not surface.
+// bookkeeping bugs that individual operations would not surface. Files
+// are checked in id order, so the file a per-file error names is the
+// lowest-numbered bad one.
 func (fs *FileSystem) Check() error {
 	total := fs.policy.TotalUnits()
-	var allocated int64
-	var all []alloc.Extent
-	var used int64
-	for id, f := range fs.files {
+	var allocated, used int64
+	var n int
+	for _, f := range fs.files {
+		if f != nil {
+			n += len(f.fa.Extents())
+		}
+	}
+	all := make([]alloc.Extent, 0, n)
+	for _, f := range fs.files {
+		if f == nil {
+			continue
+		}
 		ext := f.fa.Extents()
 		if err := alloc.Validate(ext, total); err != nil {
-			return fmt.Errorf("fs: file %d: %w", id, err)
+			return fmt.Errorf("fs: file %d: %w", f.id, err)
 		}
 		if got := alloc.Sum(ext); got != f.fa.AllocatedUnits() {
 			return fmt.Errorf("fs: file %d: extents sum to %d units but AllocatedUnits is %d",
-				id, got, f.fa.AllocatedUnits())
+				f.id, got, f.fa.AllocatedUnits())
 		}
 		if f.length > f.AllocatedBytes() {
 			return fmt.Errorf("fs: file %d: length %d exceeds allocation %d",
-				id, f.length, f.AllocatedBytes())
+				f.id, f.length, f.AllocatedBytes())
 		}
 		if f.length < 0 {
-			return fmt.Errorf("fs: file %d: negative length %d", id, f.length)
+			return fmt.Errorf("fs: file %d: negative length %d", f.id, f.length)
 		}
 		allocated += f.fa.AllocatedUnits()
 		used += f.length
@@ -50,7 +61,7 @@ func (fs *FileSystem) Check() error {
 	// Cross-file overlap: sort by start and compare neighbours — the
 	// O(n²) alloc.Validate is fine per file but not across hundreds of
 	// thousands.
-	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
+	slices.SortFunc(all, func(a, b alloc.Extent) int { return cmp.Compare(a.Start, b.Start) })
 	for i := 1; i < len(all); i++ {
 		if all[i].Start < all[i-1].End() {
 			return fmt.Errorf("fs: files overlap at units [%d,%d)", all[i].Start, all[i-1].End())

@@ -21,6 +21,14 @@ func (b *badFile) AllocatedUnits() int64              { return b.allocated }
 func (b *badFile) Grow(int64) ([]alloc.Extent, error) { return nil, alloc.ErrNoSpace }
 func (b *badFile) TruncateTo(int64)                   {}
 
+// inject adds fa to the file table at the next id, as Create would.
+func inject(fsys *FileSystem, fa alloc.File) *File {
+	f := &File{fs: fsys, id: int64(len(fsys.files)), fa: fa}
+	fsys.files = append(fsys.files, f)
+	fsys.live++
+	return f
+}
+
 func TestCheckCleanSystem(t *testing.T) {
 	fsys := newFS(t, 10000, 4)
 	rng := rand.New(rand.NewSource(4))
@@ -54,11 +62,11 @@ func TestCheckDetectsOverlap(t *testing.T) {
 	a := fsys.Create(0)
 	a.Allocate(8 * units.KB)
 	// Inject a corrupt file whose extents overlap a's allocation.
-	fsys.files[999] = &File{fs: fsys, id: 999, fa: &badFile{
+	bad := inject(fsys, &badFile{
 		extents:   []alloc.Extent{{Start: 2, Len: 4}},
 		allocated: 4,
-	}}
-	defer delete(fsys.files, 999)
+	})
+	defer bad.Delete()
 	err := fsys.Check()
 	if err == nil {
 		t.Fatal("fsck missed a cross-file overlap")
@@ -97,10 +105,10 @@ func TestCheckDetectsAccountingDrift(t *testing.T) {
 
 func TestCheckDetectsBadExtentSum(t *testing.T) {
 	fsys := newFS(t, 1000, 4)
-	fsys.files[7] = &File{fs: fsys, id: 7, fa: &badFile{
+	inject(fsys, &badFile{
 		extents:   []alloc.Extent{{Start: 500, Len: 4}},
 		allocated: 8, // lies about its total
-	}}
+	})
 	if err := fsys.Check(); err == nil {
 		t.Fatal("fsck missed extent-sum mismatch")
 	}

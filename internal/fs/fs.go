@@ -26,8 +26,11 @@ type FileSystem struct {
 	dsys      *disk.System // nil for allocation-only tests
 	unitBytes int64
 
-	files     map[int64]*File
-	nextID    int64
+	// files is the file table, indexed by id: ids are dense from 0 and
+	// never reused, a deleted file's slot is nil, and live counts the
+	// non-nil slots.
+	files     []*File
+	live      int
 	usedBytes int64 // sum of file lengths
 
 	// runScratch and req are the reusable buffers behind every data
@@ -96,7 +99,6 @@ func New(policy alloc.Policy, dsys *disk.System, unitBytes int64) (*FileSystem, 
 		policy:    policy,
 		dsys:      dsys,
 		unitBytes: unitBytes,
-		files:     make(map[int64]*File),
 	}, nil
 }
 
@@ -142,7 +144,7 @@ func (fs *FileSystem) ExternalFragPct() float64 {
 }
 
 // Files returns the number of live files.
-func (fs *FileSystem) Files() int { return len(fs.files) }
+func (fs *FileSystem) Files() int { return fs.live }
 
 // File is an open file: a length in bytes plus the policy's allocation
 // handle.
@@ -162,12 +164,12 @@ func (fs *FileSystem) Create(sizeHintBytes int64) *File {
 	hintUnits := units.CeilDiv(sizeHintBytes, fs.unitBytes)
 	f := &File{
 		fs:       fs,
-		id:       fs.nextID,
+		id:       int64(len(fs.files)),
 		fa:       fs.policy.NewFile(hintUnits),
 		sizeHint: hintUnits,
 	}
-	fs.nextID++
-	fs.files[f.id] = f
+	fs.files = append(fs.files, f)
+	fs.live++
 	fs.mCreates.Inc()
 	return f
 }
@@ -365,13 +367,17 @@ func (f *File) Delete() {
 	f.length = 0
 	f.cursor = 0
 	f.fa.TruncateTo(0)
-	delete(f.fs.files, f.id)
+	if f.fs.files[f.id] != nil {
+		f.fs.files[f.id] = nil
+		f.fs.live--
+	}
 	f.fs.mDeletes.Inc()
 }
 
 // Recreate frees the file's space and gives it a fresh, empty allocation
 // handle — the paper's small files are "periodically deleted and
-// recreated" (§2.2), keeping the population constant.
+// recreated" (§2.2), keeping the population constant. The file keeps its
+// id and its slot in the file table.
 func (f *File) Recreate() {
 	f.fs.usedBytes -= f.length
 	f.length = 0

@@ -56,6 +56,9 @@ func (fs *FileSystem) MetaStats(m MetaModel) MetaStats {
 	var out MetaStats
 	type counter interface{ DescriptorCount() int }
 	for _, f := range fs.files {
+		if f == nil {
+			continue
+		}
 		var n int64
 		if c, ok := f.fa.(counter); ok {
 			n = int64(c.DescriptorCount())

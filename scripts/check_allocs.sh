@@ -3,14 +3,15 @@
 # than its budget in bench/allocs_budget.txt allows. The budgets are
 # allocs/op as reported by -benchmem; the engine benchmarks are budgeted
 # at zero, which is what keeps the simulator hot loop allocation-free, and
-# so are the free-space maps' steady-size cycles.
+# so are the free-space maps' steady-size cycles and the allocation
+# policies' grow/truncate cycles.
 set -eu
 cd "$(dirname "$0")/.."
 
 budget=bench/allocs_budget.txt
 out=$(go test -run '^$' \
-	-bench '^(BenchmarkEngine(Throughput|SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd)$' \
-	-benchmem -benchtime 0.5s . ./internal/sim ./internal/container/...)
+	-bench '^(BenchmarkEngine(Throughput|SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd|BenchmarkGrowTruncate|BenchmarkChurn|BenchmarkGrowThenExtents)$' \
+	-benchmem -benchtime 0.5s . ./internal/sim ./internal/container/... ./internal/alloc/...)
 echo "$out"
 
 fail=0
