@@ -38,12 +38,12 @@ func fleetAllocStats(t *testing.T, cc cluster.Config, open bool) (uint64, uint64
 // operation sequence, so the model's own allocations — allocation-policy
 // free-list nodes, userOp pool growth, segment buffers — are identical
 // and cancel in the difference; what remains is purely the executor's
-// overhead (worker goroutine fan-out per window, dispatch/completion
-// pool growth). That overhead must amortize to well under 0.05
-// allocs/event; a per-event allocation on the parallel hot path (a
-// closure or buffer grown per dispatch instead of pooled) would show up
-// at ≥1 and fail loudly. Merge-time work (latency histogram merges,
-// report assembly) is identical on both sides and cancels too.
+// overhead (the worker pool's goroutines, staging, merge and dispatch
+// buffers growing to their peaks). That overhead must amortize to well
+// under 0.05 allocs/event; a per-event allocation on the parallel hot
+// path (a closure or buffer grown per dispatch instead of pooled) would
+// show up at ≥1 and fail loudly. Merge-time work (latency histogram
+// merges, report assembly) is identical on both sides and cancels too.
 func TestParallelPathAllocOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run fleet measurement in short mode")
@@ -55,14 +55,16 @@ func TestParallelPathAllocOverhead(t *testing.T) {
 		open   bool
 	}{
 		// Independent tier: closed-loop fleet, engines run to the horizon
-		// with no windows at all — overhead is one goroutine per worker
-		// per phase, nothing per event.
+		// with no windows at all — overhead is the pool's goroutines,
+		// nothing per event.
 		{"closed", cluster.Config{Instances: 4}, false},
-		// Windowed tier: open-loop with admission; the conservative-
-		// lookahead executor spawns workers per sync window, a cost that
-		// scales with window count, not event count.
+		// Batched tier, token-bucket admission on a 500 ms grid: staging
+		// lists, lane buffers and dispatch events are reused across
+		// batches, so rounds of the pool cost no allocations.
 		{"open", cluster.Config{Instances: 4, Admission: cluster.AdmitTokenBucket,
 			TokenCapacity: 32, TokenRefillPerSec: 300, SyncMS: 500}, true},
+		// Batched tier, round-robin admit-all on the default 100 ms grid.
+		{"batched", cluster.Config{Instances: 4}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

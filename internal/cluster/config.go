@@ -1,15 +1,15 @@
 // Package cluster scales the simulator from one file server to a fleet: a
 // Deployment instantiates N independent core.Instances (each its own disk
 // array, allocator, and file system, with an RNG stream derived from the
-// run seed and the instance index) inside one sim.Engine, and routes an
-// open-loop arrival stream through pluggable admission and routing
+// run seed and the instance index) on per-instance sim.Engines, and routes
+// an open-loop arrival stream through pluggable admission and routing
 // policies. The model follows the deployment layer of LLM inference
 // simulators — a DeploymentConfig with NumInstances, an AdmissionPolicy,
 // a RoutingPolicy, and a snapshot-refresh interval that makes the
 // router's view of instance load deliberately stale — transplanted onto
 // the paper's read-optimized file servers.
 //
-// Everything stays deterministic: one engine, one clock, per-instance RNG
+// Everything stays deterministic: one simulated clock, per-instance RNG
 // streams, and policies that break ties by lowest index. Two runs with
 // the same seed and configuration produce byte-identical reports, the
 // same contract every other layer of this repository holds.
@@ -70,14 +70,16 @@ type Config struct {
 	// (default 0). The other members run fault-free.
 	FaultInstance int `json:"fault_instance,omitempty"`
 
-	// Parallelism is the number of worker goroutines that advance the
-	// fleet's per-instance engines inside each synchronization window
-	// (0 or 1: serial; capped at the fleet size). It is an execution knob,
-	// not a model knob: the schedule — window boundaries, routing,
-	// admission, merge order — is fixed by the configuration alone, so any
-	// Parallelism value produces byte-identical results. For that reason
-	// it is deliberately excluded from Key: a cached serial result answers
-	// a parallel request and vice versa.
+	// Parallelism is the number of worker goroutines that prime the fleet
+	// and advance its per-instance engines (0 or 1: serial; capped at the
+	// fleet size). The independent and batched execution tiers use them;
+	// the windowed tier runs its engines serially (see parallel.go). It is
+	// an execution knob, not a model knob: the schedule — window
+	// boundaries, routing, admission, merge order — is fixed by the
+	// configuration alone, so any Parallelism value produces byte-
+	// identical results. For that reason it is deliberately excluded from
+	// Key: a cached serial result answers a parallel request and vice
+	// versa.
 	Parallelism int `json:"par,omitempty"`
 
 	// SyncMS overrides the conservative-lookahead window for open-loop

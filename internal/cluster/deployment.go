@@ -45,8 +45,8 @@ func Run(cfg core.Config, cc Config, kind core.TestKind) (core.Outcome, error) {
 }
 
 // completion is one buffered open-loop op completion: an instance records
-// it on its own goroutine during a window; the coordinator applies it at
-// the barrier in global (time, instance) order.
+// it on its own goroutine while its engine runs; the merge applies it to
+// the central latency later, in global (time, instance) order.
 type completion struct {
 	at  float64 // completion time (simulated ms)
 	lat float64 // operation latency (ms)
@@ -55,9 +55,10 @@ type completion struct {
 // Deployment is one live fleet: N core.Instances on N per-instance
 // engines, a control-plane engine for the arrival source, the router's
 // load view, the admission policy's occupancy, and the fleet-level
-// accounting. Coordinator state (live counts, admission, latency,
-// counters) is touched only between windows; instance state only by the
-// one worker that owns the instance during a window.
+// accounting. Instance state, and the instance's lane, is touched only
+// by the one worker running the instance; front-end state (admission,
+// routing, counters) only by the coordinator or the batched tier's
+// generate task, and the central latency only by the merge.
 type Deployment struct {
 	cfg core.Config
 	cc  Config
@@ -66,7 +67,7 @@ type Deployment struct {
 	engs  []*sim.Engine // engs[i] drives insts[i] and nothing else
 	ctl   *sim.Engine   // control plane: the arrival source (open-loop only)
 
-	live   []int   // true per-instance in-flight counts (router ground truth)
+	live   []int   // windowed tier: per-instance in-flight counts (router ground truth)
 	routed []int64 // arrivals routed per instance
 
 	router RoutingPolicy
@@ -82,14 +83,17 @@ type Deployment struct {
 	// a window, read by the coordinator at barriers.
 	stableAt []float64
 
-	par int // resolved worker count (>= 1)
+	par  int   // resolved worker count (>= 1)
+	tier tier  // execution tier (see parallel.go)
+	pool *pool // the run's workers (prime, independent and batched tiers)
 
-	// Windowed open-loop state: per-instance completion buffers, their
-	// merge cursors, and the pooled dispatch events (see parallel.go).
-	comps     [][]completion
-	heads     []int
-	freeDisp  [][]*dispatchEv
-	spentDisp [][]*dispatchEv
+	// Open-loop per-instance executor state (see parallel.go).
+	lanes []lane
+
+	// Batched tier (see batched.go): the window and arrival limits of one
+	// batch, and the control-plane events fired past the fleet's end.
+	batchK, batchCap int
+	ctlAhead         uint64
 
 	// Metrics handles (nil when metrics are off).
 	reg              *metrics.Registry
@@ -110,6 +114,8 @@ func newDeployment(cfg core.Config, cc Config) (*Deployment, error) {
 		latencyH: core.NewLatencyHistogram(),
 		reg:      cfg.Metrics,
 		par:      1,
+		batchK:   batchWindows,
+		batchCap: batchArrivals,
 	}
 	if cc.Parallelism > 1 {
 		d.par = cc.Parallelism
@@ -150,6 +156,7 @@ func newDeployment(cfg core.Config, cc Config) (*Deployment, error) {
 		d.router = newAffinity(cc.Instances)
 	}
 	d.admit = newAdmission(cc)
+	d.tier = d.pickTier()
 	return d, nil
 }
 
@@ -157,7 +164,8 @@ func newDeployment(cfg core.Config, cc Config) (*Deployment, error) {
 // the mode-appropriate executor, and assembles the fleet outcome.
 func (d *Deployment) run() (core.Outcome, error) {
 	out := core.Outcome{Kind: core.Application}
-	open := d.cfg.Workload.Arrivals != nil
+	d.pool = newPool(d.par)
+	defer d.pool.close()
 
 	// Priming advances no simulated time (allocation-only traffic) and is
 	// instance-local, so it fans out across the workers; errors surface in
@@ -170,17 +178,22 @@ func (d *Deployment) run() (core.Outcome, error) {
 	}
 	d.wireMetrics()
 
-	// Two execution tiers (see parallel.go): closed-loop metrics-off
+	// Three execution tiers (see parallel.go): closed-loop metrics-off
 	// fleets have no cross-instance coupling at all and run each engine
-	// to its own stop; everything else advances in conservative-lookahead
-	// windows, exchanging routed arrivals, completions, load snapshots,
-	// and metrics samples at the barriers.
+	// to its own stop; open-loop metrics-off fleets whose front end reads
+	// no instance state stage batches of windows ahead; everything else
+	// advances in conservative-lookahead windows, exchanging routed
+	// arrivals, completions, load snapshots, and metrics samples at the
+	// barriers.
 	var end float64
 	var err error
-	if !open && d.reg == nil {
+	switch d.tier {
+	case tierIndependent:
 		end, err = d.runIndependent()
-	} else {
-		end, err = d.runWindowed(open)
+	case tierBatched:
+		end, err = d.runBatched()
+	default:
+		end, err = d.runWindowed(d.cfg.Workload.Arrivals != nil)
 	}
 	if err != nil {
 		return out, err
@@ -201,11 +214,20 @@ func (d *Deployment) run() (core.Outcome, error) {
 	return out, nil
 }
 
-// onArrival is the open-loop sink: admission, routing, dispatch. It runs
-// on the control-plane engine strictly before the window it admits into,
-// so every instance sees its routed arrivals already queued when its
-// worker picks it up.
+// onArrival is the windowed tier's open-loop sink: admission, routing,
+// dispatch. It runs on the control-plane engine strictly before the
+// window it admits into, so every instance sees its routed arrivals
+// already queued when its engine runs the window.
 func (d *Deployment) onArrival(now float64, a core.Arrival) {
+	if i, ok := d.admitRoute(now, a); ok {
+		d.live[i]++
+		d.lanes[i].dispatch(d.insts[i], d.engs[i], now, a)
+	}
+}
+
+// admitRoute counts an arrival, applies admission, and routes an admitted
+// arrival, returning its target instance.
+func (d *Deployment) admitRoute(now float64, a core.Arrival) (int, bool) {
 	d.arrivals++
 	if d.mArr != nil {
 		d.mArr.Inc()
@@ -215,16 +237,15 @@ func (d *Deployment) onArrival(now float64, a core.Arrival) {
 		if d.mRej != nil {
 			d.mRej.Inc()
 		}
-		return
+		return 0, false
 	}
 	d.admitted++
 	if d.mAdm != nil {
 		d.mAdm.Inc()
 	}
 	i := d.router.Route(now, a)
-	d.live[i]++
 	d.routed[i]++
-	d.dispatch(i, now, a)
+	return i, true
 }
 
 func (d *Deployment) totalLive() int {
@@ -241,7 +262,7 @@ func (d *Deployment) totalFired() uint64 {
 		t += e.Fired()
 	}
 	if d.ctl != nil {
-		t += d.ctl.Fired()
+		t += d.ctl.Fired() - d.ctlAhead
 	}
 	return t
 }

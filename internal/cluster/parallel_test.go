@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,6 +64,36 @@ func TestParallelReproducesFleetGolden(t *testing.T) {
 		got = append(got, '\n')
 		if !bytes.Equal(got, want) {
 			t.Errorf("par=%d: fleet report deviates from the golden", par)
+		}
+	}
+}
+
+// The round-robin, admit-all open-loop fleet golden pins the batched tier
+// (a front end that reads no instance state). It was recorded with the
+// windowed executor before the batched tier existed and must reproduce at
+// every Parallelism. With default stabilization this overloaded fleet
+// never stabilizes and runs to its 30 s horizon; the in-batch stops are
+// covered by TestBatchedMatchesWindowed.
+func TestRoundRobinFleetGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "fleet_n4_rr_tp_seed42.golden")
+	for _, par := range []int{0, 2, 4} {
+		out, err := cluster.Run(openLoop(benchCfg(t), 400),
+			cluster.Config{Instances: 4, Parallelism: par}, core.Application)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		got := append(marshalOutcome(t, out), '\n')
+		if *update && par == 0 {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to regenerate)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("par=%d: round-robin fleet deviates from %s:\n%s", par, golden, got)
 		}
 	}
 }
@@ -179,5 +210,37 @@ func TestFleetStatsWorkerCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 16}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A canceled fleet stops early on every tier and reports core.ErrCanceled:
+// the cancel is already closed, so the members' first cancel poll stops
+// them long before the hour-long horizon.
+func TestFleetCancelStopsEveryTier(t *testing.T) {
+	canceled := make(chan struct{})
+	close(canceled)
+	for _, tc := range []struct {
+		name string
+		open bool
+		cc   cluster.Config
+	}{
+		{"batched", true, cluster.Config{Instances: 4, Parallelism: 2}},
+		{"windowed", true, cluster.Config{Instances: 4, Routing: cluster.RouteLeastLoaded, Parallelism: 2}},
+		{"independent", false, cluster.Config{Instances: 4, Parallelism: 2}},
+	} {
+		cfg := benchCfg(t)
+		if tc.open {
+			cfg = openLoop(cfg, 400)
+		}
+		cfg.MaxSimMS = 3_600_000
+		cfg.StableWindows = 1 << 20
+		cfg.Cancel = canceled
+		out, err := cluster.Run(cfg, tc.cc, core.Application)
+		if !errors.Is(err, core.ErrCanceled) {
+			t.Errorf("%s: err = %v, want core.ErrCanceled", tc.name, err)
+		}
+		if out.Stats.SimMS >= cfg.MaxSimMS {
+			t.Errorf("%s: ran to %g ms, the whole horizon", tc.name, out.Stats.SimMS)
+		}
 	}
 }

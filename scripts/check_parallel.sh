@@ -2,7 +2,9 @@
 # check_parallel.sh — the parallel-fleet gate, three contracts:
 #
 #   1. identity: a routed N=4 open-loop fleet with -par 4 is byte-identical
-#      to the serial -par 1 run — human report and rofs-metrics/v1 bundle;
+#      to the serial -par 1 run — human report and rofs-metrics/v1 bundle
+#      (metrics on: the windowed executor) — and so is a metrics-off
+#      round-robin fleet (the batched executor);
 #   2. reproduction: the parallel executor reproduces exactly under the
 #      same seed (worker scheduling never leaks into results);
 #   3. speedup sanity (hosts with >= 8 cores only): a par=16 N=16 fleet
@@ -36,6 +38,16 @@ cmp "$tmp/serial.txt" "$tmp/par.txt" || {
 }
 cmp "$tmp/serial.json" "$tmp/par.json" || {
 	echo "check_parallel: FAIL: -par 4 metrics bundle deviates from -par 1" >&2
+	exit 1
+}
+
+echo "check_parallel: metrics-off round-robin fleet -par 4 matches -par 1"
+rr="-workload TP -test app -instances 4 -rate 400 -max-sim 30000"
+"$tmp/rofsim" $rr -par 1 >"$tmp/rr1.txt" 2>/dev/null
+"$tmp/rofsim" $rr -par 4 >"$tmp/rr4.txt" 2>/dev/null
+cmp "$tmp/rr1.txt" "$tmp/rr4.txt" || {
+	echo "check_parallel: FAIL: round-robin -par 4 report deviates from -par 1" >&2
+	diff "$tmp/rr1.txt" "$tmp/rr4.txt" >&2 || true
 	exit 1
 }
 
