@@ -5,10 +5,12 @@
 //
 // The structure is an address-keyed treap augmented with the maximum run
 // length per subtree, which makes exact first-fit (lowest address whose
-// run is long enough) an O(log n) descent, plus a (length, address)
-// red-black index for exact best-fit. All mutations keep both indexes and
-// the aggregate free count in sync, and adjacent runs are coalesced
-// eagerly so the map always holds maximal runs.
+// run is long enough) an O(log n) descent. Exact best-fit needs a second,
+// (length, address) red-black index; it exists only once a best-fit
+// search has run: the first BestFit builds it from an in-order walk of
+// the treap, and from then on every mutation keeps it in sync. A map that
+// only ever answers FirstFit never builds or updates it. Adjacent runs are
+// coalesced eagerly so the map always holds maximal runs.
 //
 // Both indexes keep their nodes in one slice each, linked by int32 index,
 // and recycle a removed node's slot on the next insert: once the number of
@@ -51,20 +53,22 @@ type T struct {
 	nodes     []node // treap slab; nodes[0] is the nil sentinel (maxLen 0)
 	root      int32
 	freeSlot  int32 // head of the recycled-slot list, linked through left
-	bySize    *rbtree.Tree[sizeKey, struct{}]
 	free      int64
 	count     int
 	coalesces int64
 	seed      uint64 // xorshift state for treap priorities
+
+	// bySize is the best-fit (length, address) index; nil until the
+	// first BestFit builds it.
+	bySize *rbtree.Tree[sizeKey, struct{}]
 }
 
 // New returns an empty map. Priorities are drawn from a deterministic
 // generator so runs are reproducible.
 func New() *T {
 	return &T{
-		nodes:  make([]node, 1),
-		bySize: rbtree.New[sizeKey, struct{}](sizeLess),
-		seed:   0x9E3779B97F4A7C15,
+		nodes: make([]node, 1),
+		seed:  0x9E3779B97F4A7C15,
 	}
 }
 
@@ -139,15 +143,6 @@ func (t *T) Alloc(addr, length int64) {
 	}
 }
 
-// Contains reports whether [addr, addr+len) is entirely free.
-func (t *T) Contains(addr, length int64) bool {
-	run, ok := t.containing(addr)
-	return ok && run.Addr+run.Len >= addr+length
-}
-
-// ContainingRun returns the free run covering addr, if any.
-func (t *T) ContainingRun(addr int64) (Run, bool) { return t.containing(addr) }
-
 // FirstFit returns the lowest-addressed free run with length >= n.
 func (t *T) FirstFit(n int64) (Run, bool) {
 	if t.root == 0 {
@@ -173,43 +168,20 @@ func (t *T) FirstFit(n int64) (Run, bool) {
 }
 
 // BestFit returns the shortest free run with length >= n (lowest address
-// on ties).
+// on ties). The first call builds the size index.
 func (t *T) BestFit(n int64) (Run, bool) {
+	if t.bySize == nil {
+		t.bySize = rbtree.New[sizeKey, struct{}](sizeLess)
+		t.Ascend(func(r Run) bool {
+			t.bySize.Set(sizeKey{r.Len, r.Addr}, struct{}{})
+			return true
+		})
+	}
 	k, _, ok := t.bySize.Ceiling(sizeKey{len: n, addr: -1 << 62})
 	if !ok {
 		return Run{}, false
 	}
 	return Run{Addr: k.addr, Len: k.len}, true
-}
-
-// NextFit returns the lowest-addressed free run with length >= n at
-// address >= from, wrapping to the lowest overall if none follows from.
-func (t *T) NextFit(n, from int64) (Run, bool) {
-	if r, ok := t.firstFitFrom(t.root, n, from); ok {
-		return r, true
-	}
-	return t.FirstFit(n)
-}
-
-func (t *T) firstFitFrom(cur int32, n, from int64) (Run, bool) {
-	ns := t.nodes
-	for cur != 0 {
-		c := &ns[cur]
-		if c.run.Addr < from {
-			cur = c.right
-			continue
-		}
-		if c.left != 0 && ns[c.left].maxLen >= n {
-			if r, ok := t.firstFitFrom(c.left, n, from); ok {
-				return r, true
-			}
-		}
-		if c.run.Len >= n {
-			return c.run, true
-		}
-		cur = c.right
-	}
-	return Run{}, false
 }
 
 // Ascend visits runs in address order until fn returns false.
@@ -230,14 +202,16 @@ func (t *T) add(r Run) {
 	// The slot is taken before descending: insertNode never grows the slab.
 	i := t.newNode(r)
 	t.root = t.insertNode(t.root, i)
-	t.bySize.Set(sizeKey{r.Len, r.Addr}, struct{}{})
+	if t.bySize != nil {
+		t.bySize.Set(sizeKey{r.Len, r.Addr}, struct{}{})
+	}
 	t.free += r.Len
 	t.count++
 }
 
 func (t *T) remove(r Run) {
 	t.root = t.deleteNode(t.root, r.Addr)
-	if !t.bySize.Delete(sizeKey{r.Len, r.Addr}) {
+	if t.bySize != nil && !t.bySize.Delete(sizeKey{r.Len, r.Addr}) {
 		panic(fmt.Sprintf("freelist: size index missing run [%d,+%d)", r.Addr, r.Len))
 	}
 	t.free -= r.Len

@@ -2,7 +2,7 @@ package freelist
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -17,9 +17,13 @@ func TestEmpty(t *testing.T) {
 	if _, ok := fl.BestFit(1); ok {
 		t.Fatal("BestFit on empty returned a run")
 	}
-	if _, ok := fl.NextFit(1, 0); ok {
-		t.Fatal("NextFit on empty returned a run")
-	}
+}
+
+// runsOf lists the map's runs in address order.
+func runsOf(fl *T) []Run {
+	var got []Run
+	fl.Ascend(func(r Run) bool { got = append(got, r); return true })
+	return got
 }
 
 func TestInsertCoalescesBothSides(t *testing.T) {
@@ -73,11 +77,8 @@ func TestAllocInterior(t *testing.T) {
 	if fl.Runs() != 2 || fl.FreeUnits() != 80 {
 		t.Fatalf("Runs=%d Free=%d", fl.Runs(), fl.FreeUnits())
 	}
-	if fl.Contains(40, 1) || fl.Contains(59, 1) {
-		t.Fatal("allocated range still reported free")
-	}
-	if !fl.Contains(0, 40) || !fl.Contains(60, 40) {
-		t.Fatal("remainders not free")
+	if got := runsOf(fl); !slices.Equal(got, []Run{{0, 40}, {60, 40}}) {
+		t.Fatalf("runs after interior Alloc = %+v, want [0,+40) [60,+40)", got)
 	}
 }
 
@@ -140,38 +141,6 @@ func TestBestFitIsSmallestSufficient(t *testing.T) {
 	}
 }
 
-func TestNextFitWraps(t *testing.T) {
-	fl := New()
-	fl.Insert(0, 10)
-	fl.Insert(100, 10)
-	r, ok := fl.NextFit(5, 50)
-	if !ok || r.Addr != 100 {
-		t.Fatalf("NextFit(5, 50) = %+v", r)
-	}
-	r, ok = fl.NextFit(5, 150) // nothing after 150: wraps to lowest
-	if !ok || r.Addr != 0 {
-		t.Fatalf("NextFit(5, 150) = %+v, want wrap to 0", r)
-	}
-	r, ok = fl.NextFit(5, 0)
-	if !ok || r.Addr != 0 {
-		t.Fatalf("NextFit(5, 0) = %+v", r)
-	}
-}
-
-func TestContainingRun(t *testing.T) {
-	fl := New()
-	fl.Insert(10, 10)
-	if r, ok := fl.ContainingRun(15); !ok || r.Addr != 10 {
-		t.Fatalf("ContainingRun(15) = %+v, %v", r, ok)
-	}
-	if _, ok := fl.ContainingRun(20); ok {
-		t.Fatal("ContainingRun(20) found a run past the end")
-	}
-	if _, ok := fl.ContainingRun(9); ok {
-		t.Fatal("ContainingRun(9) found a run before the start")
-	}
-}
-
 func TestAscendOrder(t *testing.T) {
 	fl := New()
 	for _, a := range []int64{500, 100, 300} {
@@ -208,64 +177,32 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		}
 		return n
 	}
-	refRuns := func() []Run {
-		var runs []Run
-		i := 0
-		for i < space {
-			if !free[i] {
-				i++
-				continue
-			}
-			j := i
-			for j < space && free[j] {
-				j++
-			}
-			runs = append(runs, Run{int64(i), int64(j - i)})
-			i = j
-		}
-		return runs
-	}
-	refFirstFit := func(n int64) (Run, bool) {
-		for _, r := range refRuns() {
-			if r.Len >= n {
-				return r, true
-			}
-		}
-		return Run{}, false
-	}
-	refBestFit := func(n int64) (Run, bool) {
-		runs := refRuns()
-		sort.Slice(runs, func(i, j int) bool {
-			if runs[i].Len != runs[j].Len {
-				return runs[i].Len < runs[j].Len
-			}
-			return runs[i].Addr < runs[j].Addr
-		})
-		for _, r := range runs {
-			if r.Len >= n {
-				return r, true
-			}
-		}
-		return Run{}, false
-	}
-
-	for step := 0; step < 5000; step++ {
+	// The first firstFitSteps steps allocate first-fit only, so the size
+	// index does not exist yet and the first BestFit builds it from a
+	// fragmented map rather than from the initial single run.
+	const firstFitSteps = 2000
+	for step := 0; step < firstFitSteps+5000; step++ {
 		n := int64(rng.Intn(16) + 1)
 		if rng.Intn(2) == 0 {
 			// Allocate via first- or best-fit, carving from the run start.
 			var r Run
 			var ok bool
-			if rng.Intn(2) == 0 {
+			if rng.Intn(2) == 0 || step < firstFitSteps {
 				r, ok = fl.FirstFit(n)
-				wr, wok := refFirstFit(n)
+				wr, wok := refFit(free, n, false)
 				if ok != wok || (ok && r != wr) {
 					t.Fatalf("step %d: FirstFit(%d) = %+v,%v want %+v,%v", step, n, r, ok, wr, wok)
 				}
 			} else {
+				built := fl.bySize != nil
 				r, ok = fl.BestFit(n)
-				wr, wok := refBestFit(n)
+				wr, wok := refFit(free, n, true)
 				if ok != wok || (ok && r != wr) {
 					t.Fatalf("step %d: BestFit(%d) = %+v,%v want %+v,%v", step, n, r, ok, wr, wok)
+				}
+				if !built && fl.bySize.Len() < 10 {
+					t.Fatalf("step %d: size index built from %d runs; the map is not fragmented",
+						step, fl.bySize.Len())
 				}
 			}
 			if ok {
@@ -291,10 +228,11 @@ func TestRandomizedAgainstReference(t *testing.T) {
 		if fl.FreeUnits() != refFreeCount() {
 			t.Fatalf("step %d: FreeUnits = %d, want %d", step, fl.FreeUnits(), refFreeCount())
 		}
+		if step < firstFitSteps && fl.bySize != nil {
+			t.Fatalf("step %d: a map that has only answered FirstFit holds a size index", step)
+		}
 		if step%250 == 0 {
-			want := refRuns()
-			var got []Run
-			fl.Ascend(func(r Run) bool { got = append(got, r); return true })
+			want, got := refRuns(free), runsOf(fl)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: %d runs, want %d", step, len(got), len(want))
 			}
@@ -305,6 +243,9 @@ func TestRandomizedAgainstReference(t *testing.T) {
 			}
 			if fl.Runs() != len(want) {
 				t.Fatalf("step %d: Runs() = %d, want %d", step, fl.Runs(), len(want))
+			}
+			if fl.bySize != nil && fl.bySize.Len() != len(want) {
+				t.Fatalf("step %d: size index holds %d runs, want %d", step, fl.bySize.Len(), len(want))
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -75,6 +76,119 @@ func TestCheckDetectsOverlap(t *testing.T) {
 	// indicate the corruption.
 	if !strings.Contains(err.Error(), "overlap") && !strings.Contains(err.Error(), "leak") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// ledgerPolicy is a policy that places nothing itself: tests inject its
+// files, and its free count is whatever the test sets, so a table row can
+// keep the space accounting balanced and leave only the overlap check to
+// fire.
+type ledgerPolicy struct{ total, free int64 }
+
+func (p *ledgerPolicy) Name() string             { return "ledger" }
+func (p *ledgerPolicy) TotalUnits() int64        { return p.total }
+func (p *ledgerPolicy) FreeUnits() int64         { return p.free }
+func (p *ledgerPolicy) NewFile(int64) alloc.File { return &badFile{} }
+
+// TestCheckOverlapTable pins fsck's overlap detection unit by unit: every
+// row but the precedence ones balances allocated + free == total, so the
+// overlap (or its absence) is the only finding. Files are injected in
+// order and numbered from 0. The 1000-unit rows hold enough extents for
+// their volume to be marked in the bitmap directly; the sparse rows'
+// extents are sorted first.
+func TestCheckOverlapTable(t *testing.T) {
+	type ext = alloc.Extent
+	for _, tc := range []struct {
+		name  string
+		total int64
+		files [][]ext
+		// lie adds to the last file's AllocatedUnits; leak adds to the
+		// policy's free count; drift adds to the used-bytes counter.
+		lie, leak, drift int64
+		want             string
+	}{
+		{name: "shared unit 0", total: 1000,
+			files: [][]ext{{{Start: 0, Len: 16}}, {{Start: 0, Len: 1}}},
+			want:  "fs: files overlap at units [0,1)"},
+		{name: "shared last unit, volume not a multiple of 64", total: 1000,
+			files: [][]ext{{{Start: 990, Len: 10}}, {{Start: 999, Len: 1}}},
+			want:  "fs: files overlap at units [999,1000)"},
+		{name: "straddles a word boundary", total: 1000,
+			files: [][]ext{{{Start: 50, Len: 20}}, {{Start: 60, Len: 20}}},
+			want:  "fs: files overlap at units [60,70)"},
+		{name: "whole aligned word", total: 1000,
+			files: [][]ext{{{Start: 100, Len: 200}}, {{Start: 128, Len: 64}}},
+			want:  "fs: files overlap at units [128,192)"},
+		{name: "second extent overlaps two files", total: 1000,
+			files: [][]ext{
+				{{Start: 300, Len: 10}},
+				{{Start: 310, Len: 10}},
+				{{Start: 0, Len: 5}, {Start: 305, Len: 20}},
+			},
+			want: "fs: files overlap at units [305,320)"},
+		{name: "adjacent across and inside words", total: 1000,
+			files: [][]ext{
+				{{Start: 40, Len: 24}, {Start: 134, Len: 10}, {Start: 255, Len: 1}, {Start: 320, Len: 1}},
+				{{Start: 64, Len: 30}, {Start: 200, Len: 55}, {Start: 321, Len: 679}},
+				{{Start: 94, Len: 40}, {Start: 144, Len: 56}, {Start: 256, Len: 64}},
+			}},
+		{name: "first overlap by file id is reported", total: 1000,
+			files: [][]ext{
+				{{Start: 0, Len: 16}},
+				{{Start: 8, Len: 4}},
+				{{Start: 0, Len: 2}},
+				{{Start: 500, Len: 4}},
+			},
+			want: "fs: files overlap at units [8,12)"},
+		{name: "sparse volume: sort finds the overlap, the bitmap names it", total: 1 << 20,
+			files: [][]ext{
+				{{Start: 1000, Len: 9000}},
+				{{Start: 20000, Len: 10}},
+				{{Start: 5000, Len: 100}, {Start: 30000, Len: 50}},
+			},
+			want: "fs: files overlap at units [5000,5100)"},
+		{name: "sparse volume: adjacent extents", total: 1 << 20,
+			files: [][]ext{
+				{{Start: 0, Len: 100}, {Start: 300, Len: 700}},
+				{{Start: 100, Len: 200}},
+				{{Start: 1000, Len: 1<<20 - 1000}},
+			}},
+		{name: "per-file error wins", total: 1000,
+			files: [][]ext{{{Start: 0, Len: 16}}, {{Start: 8, Len: 4}}, {{Start: 500, Len: 4}}},
+			lie:   4,
+			want:  "fs: file 2: extents sum to 4 units but AllocatedUnits is 8"},
+		{name: "out-of-volume extent wins", total: 1000,
+			files: [][]ext{{{Start: 0, Len: 16}}, {{Start: 8, Len: 4}}, {{Start: 996, Len: 8}}},
+			want:  "fs: file 2: alloc: extent 0 [996,+8) outside [0,1000)"},
+		{name: "used-bytes drift wins", total: 1000,
+			files: [][]ext{{{Start: 0, Len: 16}}, {{Start: 8, Len: 4}}},
+			drift: 3,
+			want:  "fs: used-bytes accounting drifted: files sum to 0, counter says 3"},
+		{name: "space leak wins", total: 1000,
+			files: [][]ext{{{Start: 0, Len: 16}}, {{Start: 8, Len: 4}}},
+			leak:  -1,
+			want:  "fs: space leak: 20 allocated + 979 free != 1000 total"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &ledgerPolicy{total: tc.total, free: tc.total + tc.leak}
+			fsys, err := New(p, nil, units.KB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, extents := range tc.files {
+				bf := &badFile{extents: extents, allocated: alloc.Sum(extents)}
+				if i == len(tc.files)-1 {
+					bf.allocated += tc.lie
+				}
+				inject(fsys, bf)
+				p.free -= bf.allocated
+			}
+			fsys.usedBytes += tc.drift
+			err = fsys.Check()
+			if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
+				t.Fatalf("Check() = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

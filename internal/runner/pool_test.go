@@ -129,12 +129,18 @@ func TestPoolPreCanceledContext(t *testing.T) {
 
 func TestPoolCancelMidFlightEvictsCache(t *testing.T) {
 	p := New(1)
+	// A throughput run with early stabilization off runs to its whole
+	// 2,000 s horizon, ~50x longer than the timeout on a 2-vCPU host,
+	// so the cancel always lands mid-flight.
 	sp := testSpec(t, 7)
+	sp.Kind = core.Application
+	sp.StableWindows = 1 << 30
+	sp.MaxSimMS = 2_000_000
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
 	defer cancel()
 	res, _ := p.Run(ctx, []Spec{sp})
 	if res[0].Err == nil {
-		t.Skip("simulation finished inside the timeout; nothing to evict")
+		t.Fatal("simulation finished inside the timeout; nothing to evict")
 	}
 	if !errors.Is(res[0].Err, core.ErrCanceled) && !errors.Is(res[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want a cancellation", res[0].Err)
