@@ -136,7 +136,7 @@ func main() {
 	if *modeFlag == "closed" {
 		outcomes = driveClosed(ctx, client, gen, *workersFlag, deadline, rampEnd, *timeoutFlag)
 	} else {
-		outcomes, dropped = driveOpen(ctx, client, gen, *rpsFlag, *inflightFlag, deadline, rampEnd, *timeoutFlag)
+		outcomes, dropped = driveOpen(ctx, client, gen, *rpsFlag, *inflightFlag, start, deadline, rampEnd, *timeoutFlag)
 	}
 	elapsed := time.Since(start)
 	scraper.stop()
@@ -281,7 +281,7 @@ func driveClosed(ctx context.Context, client *service.Client, gen *generator,
 		go func() {
 			defer wg.Done()
 			for it := range items {
-				oc := submitOne(ctx, client, it, timeout)
+				oc := submitOne(ctx, client, it, timeout, time.Time{})
 				mu.Lock()
 				out = append(out, oc)
 				mu.Unlock()
@@ -295,9 +295,10 @@ func driveClosed(ctx context.Context, client *service.Client, gen *generator,
 // driveOpen runs the open loop: Poisson arrivals at the target rate,
 // each request in its own goroutine. Arrivals beyond the in-flight cap
 // are dropped client-side (and reported) rather than distorting the
-// arrival process by blocking.
+// arrival process by blocking. A request's latency runs from its due
+// time, so a generator that falls behind shows up in the latencies.
 func driveOpen(ctx context.Context, client *service.Client, gen *generator,
-	rps float64, maxInflight int, deadline, rampEnd time.Time, timeout time.Duration) ([]outcome, int64) {
+	rps float64, maxInflight int, start, deadline, rampEnd time.Time, timeout time.Duration) ([]outcome, int64) {
 	if rps <= 0 {
 		fatal("-rps must be positive in open mode")
 	}
@@ -307,49 +308,72 @@ func driveOpen(ctx context.Context, client *service.Client, gen *generator,
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxInflight)
 
-	for idx := 0; ; idx++ {
-		gap := time.Duration(gen.rng.ExpFloat64() / rps * float64(time.Second))
-		now := time.Now()
-		if now.Add(gap).After(deadline) {
-			break
-		}
-		t := time.NewTimer(gap)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return out, dropped
-		}
-		it := gen.next(idx, time.Now().Before(rampEnd))
+	pace(ctx, gen.rng, rps, start, deadline, func(idx int, due time.Time) {
+		it := gen.next(idx, due.Before(rampEnd))
 		select {
 		case sem <- struct{}{}:
 		default:
 			dropped++
-			continue
+			return
 		}
 		wg.Add(1)
-		go func(it item) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			oc := submitOne(ctx, client, it, timeout)
+			oc := submitOne(ctx, client, it, timeout, due)
 			mu.Lock()
 			out = append(out, oc)
 			mu.Unlock()
-		}(it)
-	}
+		}()
+	})
 	wg.Wait()
 	return out, dropped
 }
 
+// pace calls arrive for each Poisson arrival at rps per second due by
+// deadline. Due times are start plus the running sum of the drawn gaps,
+// so the time arrive takes and timer slack never delay later arrivals.
+// It stops early when ctx is done.
+func pace(ctx context.Context, rng *rand.Rand, rps float64, start, deadline time.Time,
+	arrive func(idx int, due time.Time)) {
+	var sec float64
+	for idx := 0; ; idx++ {
+		sec += rng.ExpFloat64() / rps
+		due := start.Add(time.Duration(sec * float64(time.Second)))
+		if due.After(deadline) {
+			return
+		}
+		if wait := time.Until(due); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+			}
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		arrive(idx, due)
+	}
+}
+
 // submitOne issues one traced ?wait=1 submission and classifies how it
 // ended: a terminal run state, a 503 rejection, or a transport error.
-func submitOne(ctx context.Context, client *service.Client, it item, timeout time.Duration) outcome {
+// Latency runs from due, an open-loop arrival's due time, and LateMS
+// records how long after it the request was sent; a zero due (closed
+// loop) times from the send.
+func submitOne(ctx context.Context, client *service.Client, it item, timeout time.Duration, due time.Time) outcome {
 	oc := outcome{Trace: it.trace, Class: it.class, Ramp: it.ramp}
 	rctx, cancel := context.WithTimeout(obs.WithTraceID(ctx, it.trace), timeout)
 	defer cancel()
-	start := time.Now()
+	sent := time.Now()
+	if due.IsZero() {
+		due = sent
+	}
+	oc.LateMS = float64(sent.Sub(due)) / float64(time.Millisecond)
 	st, err := client.SubmitWait(rctx, it.req)
-	oc.DurMS = obs.Since(start)
+	oc.DurMS = obs.Since(due)
 	var apiErr *service.APIError
 	switch {
 	case err == nil:

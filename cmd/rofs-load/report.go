@@ -33,6 +33,7 @@ type outcome struct {
 	Ramp      bool    `json:"ramp,omitempty"`
 	Status    string  `json:"status"`
 	DurMS     float64 `json:"dur_ms"`
+	LateMS    float64 `json:"late_ms,omitempty"` // open loop: sent this long after its due time
 	RunID     string  `json:"run,omitempty"`
 	Cached    bool    `json:"cached,omitempty"`
 	Coalesced bool    `json:"coalesced,omitempty"`
@@ -41,15 +42,16 @@ type outcome struct {
 }
 
 // latSummary is the percentile digest over steady-state completed
-// requests (ramp excluded).
+// requests (ramp excluded). A tail percentile is present only when at
+// least ten samples lie beyond it.
 type latSummary struct {
-	Count  int     `json:"count"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	P999MS float64 `json:"p999_ms"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
+	Count  int      `json:"count"`
+	P50MS  float64  `json:"p50_ms"`
+	P95MS  *float64 `json:"p95_ms,omitempty"`
+	P99MS  *float64 `json:"p99_ms,omitempty"`
+	P999MS *float64 `json:"p999_ms,omitempty"`
+	MeanMS float64  `json:"mean_ms"`
+	MaxMS  float64  `json:"max_ms"`
 }
 
 // classStats aggregates one request class (or the total row).
@@ -101,6 +103,7 @@ type loadReport struct {
 	ElapsedSec     float64                `json:"elapsed_seconds"`
 	Seed           int64                  `json:"seed"`
 	DroppedClient  int64                  `json:"dropped_client_side,omitempty"`
+	MaxLateMS      float64                `json:"max_late_ms,omitempty"` // open loop: the generator's worst lag
 	Classes        map[string]*classStats `json:"classes"`
 	Total          *classStats            `json:"total"`
 	Scrapes        []scrapePoint          `json:"scrapes,omitempty"`
@@ -131,7 +134,9 @@ func buildReport(in reportInputs) *loadReport {
 		classHeavy:  {},
 	}
 	total := &classStats{}
+	var maxLate float64
 	for _, oc := range in.outcomes {
+		maxLate = math.Max(maxLate, oc.LateMS)
 		cs, ok := classes[oc.Class]
 		if !ok {
 			cs = &classStats{}
@@ -172,6 +177,7 @@ func buildReport(in reportInputs) *loadReport {
 		ElapsedSec:     in.elapsed.Seconds(),
 		Seed:           in.seed,
 		DroppedClient:  in.dropped,
+		MaxLateMS:      maxLate,
 		Classes:        classes,
 		Total:          total,
 		Scrapes:        in.scrapes,
@@ -223,9 +229,9 @@ func (c *classStats) finish(steadyWindowSec float64) {
 		c.Latency = &latSummary{
 			Count:  len(c.steadyDoneMS),
 			P50MS:  percentile(c.steadyDoneMS, 0.50),
-			P95MS:  percentile(c.steadyDoneMS, 0.95),
-			P99MS:  percentile(c.steadyDoneMS, 0.99),
-			P999MS: percentile(c.steadyDoneMS, 0.999),
+			P95MS:  tailPercentile(c.steadyDoneMS, 0.95),
+			P99MS:  tailPercentile(c.steadyDoneMS, 0.99),
+			P999MS: tailPercentile(c.steadyDoneMS, 0.999),
 			MeanMS: sum / float64(len(c.steadyDoneMS)),
 			MaxMS:  c.steadyDoneMS[len(c.steadyDoneMS)-1],
 		}
@@ -249,6 +255,17 @@ func percentile(sorted []float64, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
+}
+
+// tailPercentile is percentile, or nil when fewer than ten samples lie
+// beyond the q-quantile: a thinner tail is a few outliers, not a
+// percentile.
+func tailPercentile(sorted []float64, q float64) *float64 {
+	if len(sorted)-int(math.Ceil(q*float64(len(sorted)))) < 10 {
+		return nil
+	}
+	v := percentile(sorted, q)
+	return &v
 }
 
 func delta(first, last map[string]float64, names ...string) float64 {
@@ -374,6 +391,9 @@ func printSummary(w io.Writer, rep *loadReport) {
 	if rep.DroppedClient > 0 {
 		fmt.Fprintf(w, "open loop dropped %d arrivals client-side (over -max-inflight)\n", rep.DroppedClient)
 	}
+	if rep.Mode == "open" {
+		fmt.Fprintf(w, "open loop sent each request at most %.1f ms after its due time\n", rep.MaxLateMS)
+	}
 }
 
 func statRow(name string, cs *classStats) []any {
@@ -381,10 +401,15 @@ func statRow(name string, cs *classStats) []any {
 	if cs.Latency != nil {
 		lat = *cs.Latency
 	}
+	ms := func(v *float64) string {
+		if v == nil {
+			return "-"
+		}
+		return fmt.Sprintf("%.1f", *v)
+	}
 	return []any{name, cs.Count, cs.Done, cs.Cached, cs.DiskHits, cs.Coalesced,
 		cs.Rejected, cs.Failed, cs.Errors,
-		fmt.Sprintf("%.1f", lat.P50MS), fmt.Sprintf("%.1f", lat.P95MS),
-		fmt.Sprintf("%.1f", lat.P99MS), fmt.Sprintf("%.1f", lat.P999MS),
+		ms(&lat.P50MS), ms(lat.P95MS), ms(lat.P99MS), ms(lat.P999MS),
 		fmt.Sprintf("%.2f", cs.ThroughputRPS)}
 }
 

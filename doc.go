@@ -5,7 +5,7 @@
 // fixed-block baselines on a striped disk array.
 //
 // The library lives under internal/ (one package per subsystem; see
-// DESIGN.md for the map), the executables under cmd/, runnable examples
-// under examples/, and the benchmark harness that regenerates every table
-// and figure of the paper in bench_test.go at this root.
+// DESIGN.md for the map) and the executables under cmd/. rofs-tables
+// regenerates every table and figure of the paper, and benchsuite/ is the
+// repository's benchmark.
 package rofs

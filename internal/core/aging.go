@@ -85,13 +85,7 @@ func (s *Instance) aging() (AgingResult, error) {
 	res.SimMS = end
 	res.Ops = s.ops
 	res.AllocFails = s.allocFails
-	if err := s.fsys.Check(); err != nil {
-		return res, fmt.Errorf("core: post-run fsck: %w", err)
-	}
-	if err := s.tracer.Flush(); err != nil {
-		return res, fmt.Errorf("core: trace: %w", err)
-	}
-	return res, nil
+	return res, s.postRun()
 }
 
 // sampleAging appends one free-space snapshot.

@@ -2,9 +2,14 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 
+	"rofs/internal/alloc/rbuddy"
 	"rofs/internal/core"
 	"rofs/internal/disk"
+	"rofs/internal/fs"
+	"rofs/internal/sim"
+	"rofs/internal/units"
 	"rofs/internal/workload"
 )
 
@@ -67,4 +72,54 @@ func ExamplePolicySpec_Name() {
 	// buddy
 	// rbuddy-5-g1-clus
 	// fixed-4K
+}
+
+// Example_handBuilt builds the stack that core.Run assembles, by hand: an
+// event engine, the paper's Table 1 array (eight CDC Wren IV drives
+// striped in 24K units), the restricted buddy policy the paper selects
+// (block sizes 1K to 16M, grow factor 1, clustered in 32M regions, §4.2),
+// and a file system binding the two. It grows a file to 100M and reads it
+// back in 2M chunks. Restricted buddy keeps the file in a few extents, so
+// the read runs near the array's sustained bandwidth.
+func Example_handBuilt() {
+	eng := &sim.Engine{}
+	dsys, err := disk.New(disk.DefaultConfig(), eng)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	policy, err := rbuddy.New(rbuddy.Config{
+		TotalUnits:  dsys.Units(),
+		SizesUnits:  []int64{1, 8, 64, 1024, 16384},
+		GrowFactor:  1,
+		Clustered:   true,
+		RegionUnits: 32 * 1024,
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fsys, err := fs.New(policy, dsys, dsys.UnitBytes())
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	f := fsys.Create(16 * units.MB)
+	if err := f.Allocate(100 * units.MB); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	var doneAt float64
+	f.ReadChunked(0, f.Length(), 2*units.MB, func(now float64) { doneAt = now })
+	eng.Run(math.Inf(1))
+
+	rate := float64(f.Length()) / doneAt // bytes per ms
+	fmt.Printf("array: %d drives, %s, sustained %.1f M/s\n",
+		dsys.Config().NDisks, units.Format(dsys.CapacityBytes()), dsys.MaxBandwidth()*1000/1e6)
+	fmt.Printf("file: %s in %d extents\n", units.Format(f.Length()), len(f.Alloc().Extents()))
+	fmt.Printf("read: %.2f s, %.0f%% of sustained bandwidth\n", doneAt/1000, 100*rate/dsys.MaxBandwidth())
+	// Output:
+	// array: 8 drives, 2.6G, sustained 10.6 M/s
+	// file: 100M in 4 extents
+	// read: 10.29 s, 96% of sustained bandwidth
 }

@@ -96,13 +96,7 @@ func (s *Instance) allocation() (FragResult, error) {
 	res.SimMS = s.fullAtMS
 	res.ExtentsPerFile = s.extentsPerFile()
 	res.Meta = s.fsys.MetaStats(fs.DefaultMetaModel())
-	if err := s.fsys.Check(); err != nil {
-		return res, fmt.Errorf("core: post-run fsck: %w", err)
-	}
-	if err := s.tracer.Flush(); err != nil {
-		return res, fmt.Errorf("core: trace: %w", err)
-	}
-	return res, nil
+	return res, s.postRun()
 }
 
 // extentsPerFile averages the extent policy's as-allocated extent counts
@@ -270,13 +264,19 @@ func (s *Instance) perfTail(end float64) (PerfResult, error) {
 		cr := s.comp.report()
 		res.Compaction = &cr
 	}
+	return res, s.postRun()
+}
+
+// postRun ends every test kind: the post-run fsck, then the event trace's
+// flush.
+func (s *Instance) postRun() error {
 	if err := s.fsys.Check(); err != nil {
-		return res, fmt.Errorf("core: post-run fsck: %w", err)
+		return fmt.Errorf("core: post-run fsck: %w", err)
 	}
-	if err := s.tracer.Flush(); err != nil {
-		return res, fmt.Errorf("core: trace: %w", err)
+	if err := s.trace.flush(); err != nil {
+		return fmt.Errorf("core: trace: %w", err)
 	}
-	return res, nil
+	return nil
 }
 
 // RunApplication performs the application performance test: the full

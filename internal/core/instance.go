@@ -12,7 +12,6 @@ import (
 	"rofs/internal/metrics"
 	"rofs/internal/sim"
 	"rofs/internal/stats"
-	"rofs/internal/trace"
 	"rofs/internal/units"
 	"rofs/internal/workload"
 )
@@ -48,7 +47,7 @@ type Config struct {
 
 	// TraceWriter, when set, receives a tab-separated event trace: one
 	// "op" record per completed operation and one "seg" record per disk
-	// segment serviced (see internal/trace).
+	// segment serviced (the format is eventTrace's, in trace.go).
 	TraceWriter io.Writer
 
 	// Metrics, when set, collects the run's counters, gauges, histograms,
@@ -173,7 +172,7 @@ type Instance struct {
 
 	types   []*typeState
 	tracker *stats.ThroughputTracker
-	tracer  *trace.Tracer
+	trace   *eventTrace // nil unless Config.TraceWriter is set
 
 	comp *compactor // log-structured overlay; nil unless armed
 
@@ -289,20 +288,8 @@ func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance
 		}
 	}
 	if cfg.TraceWriter != nil {
-		s.tracer = trace.New(cfg.TraceWriter)
-		// Span-enriched "seg" records: the original fields stay in place
-		// (old analyzers parse them unchanged), the lifecycle phases ride
-		// along as extra k=v tokens.
-		dsys.SetSpanTrace(func(sp disk.Span) {
-			op := "r"
-			if sp.Write {
-				op = "w"
-			}
-			s.tracer.Recordf(sp.StartMS, "seg",
-				"disk=%d %s start=%d n=%d svc=%.3f wait=%.3f seek=%.3f rot=%.3f xfer=%.3f",
-				sp.Disk, op, sp.Start, sp.N, sp.ServiceMS,
-				sp.WaitMS, sp.SeekMS, sp.RotMS, sp.XferMS)
-		})
+		s.trace = newEventTrace(cfg.TraceWriter)
+		dsys.SetSpanTrace(s.trace.seg)
 	}
 	policy, err := cfg.Policy.Build(dsys.Units(), dsys.UnitBytes(), s.rng)
 	if err != nil {
@@ -469,9 +456,8 @@ var opNames = [...]string{"read", "write", "extend", "dealloc", "create"}
 // order the former closure chain composed them.
 func (u *userOp) complete(now float64) {
 	s := u.s
-	if s.tracer != nil {
-		s.tracer.Recordf(now, "op", "%s type=%s len=%d lat=%.3f",
-			opNames[u.op], u.ts.ft.Name, u.f.Length(), now-u.issued)
+	if s.trace != nil {
+		s.trace.op(now, opNames[u.op], u.ts.ft.Name, u.f.Length(), now-u.issued)
 	}
 	s.mOps[u.op].Inc()
 	if !s.kind.spaceOnly() {

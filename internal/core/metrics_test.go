@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
 	"rofs/internal/metrics"
-	"rofs/internal/trace"
 )
 
 // metricsConfig is the short TS/rbuddy run used across the metrics tests.
@@ -125,47 +123,5 @@ func TestMetricsOffIsNil(t *testing.T) {
 	}
 	if out.Metrics != nil {
 		t.Fatal("metrics-off run produced a registry")
-	}
-}
-
-// TestSpansInTrace checks the trace's seg records carry the lifecycle
-// phases and that the analyzer's span sums agree with the decomposition
-// invariant wait+svc with svc = seek+rot+xfer.
-func TestSpansInTrace(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := metricsConfig(4)
-	cfg.TraceWriter = &buf
-	if _, err := Run(cfg, Application); err != nil {
-		t.Fatal(err)
-	}
-	a, err := trace.Analyze(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Drives) == 0 {
-		t.Fatal("no drives in trace")
-	}
-	for _, d := range a.Drives {
-		if d.Spans != d.Segments {
-			t.Fatalf("drive %d: %d spans for %d segments", d.Drive, d.Spans, d.Segments)
-		}
-		// Each record's fields round to 3 decimals independently, so the
-		// per-record mismatch is bounded by 0.002ms.
-		sum := d.SeekMS + d.RotMS + d.XferMS
-		tol := 0.002 * float64(d.Spans)
-		if diff := d.BusyMS - sum; diff > tol || diff < -tol {
-			t.Fatalf("drive %d: busy %g != seek+rot+xfer %g", d.Drive, d.BusyMS, sum)
-		}
-		if d.WaitMS < 0 {
-			t.Fatalf("drive %d: negative wait %g", d.Drive, d.WaitMS)
-		}
-	}
-	// The analyzer's kind summaries see both record kinds.
-	kinds := map[string]bool{}
-	for _, k := range a.Kinds {
-		kinds[k.Kind] = true
-	}
-	if !kinds["seg"] || !kinds["op"] {
-		t.Fatalf("kinds = %+v", a.Kinds)
 	}
 }

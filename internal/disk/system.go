@@ -217,7 +217,6 @@ type System struct {
 	totalBytes int64 // payload bytes completed
 	requests   int64
 
-	trace     SegmentTrace
 	spanTrace SpanTrace
 
 	// Metrics handles (nil when metrics are disabled; see SetMetrics).
@@ -265,12 +264,6 @@ type pending struct {
 	internal  bool
 }
 
-// SegmentTrace observes every segment as a drive begins servicing it.
-type SegmentTrace func(nowMS float64, disk int, startByte, nBytes int64, write bool, serviceMS float64)
-
-// SetTrace installs a segment observer (nil disables tracing).
-func (s *System) SetTrace(fn SegmentTrace) { s.trace = fn }
-
 // Span is one segment's full lifecycle: when it joined the drive's queue,
 // when service began, and the service time broken into the paper's §2.1
 // cost components. WaitMS + SeekMS + RotMS + XferMS is the segment's total
@@ -292,8 +285,9 @@ type Span struct {
 // SpanTrace observes every segment's lifecycle span as service begins.
 type SpanTrace func(sp Span)
 
-// SetSpanTrace installs a span observer (nil disables span tracing). It is
-// independent of SetTrace; installing both fires both per segment.
+// SetSpanTrace installs the span observer (nil disables it). It is the
+// disk system's one per-segment hook: core's event trace writes a "seg"
+// record from each span.
 func (s *System) SetSpanTrace(fn SpanTrace) { s.spanTrace = fn }
 
 // latencyBoundsMS buckets request and queue-wait latencies: sub-millisecond
@@ -844,9 +838,6 @@ func (s *System) start(d *drive, seg *segment) {
 	svc := d.serviceMS(now, seg)
 	s.mSegments.Inc()
 	s.mQueueWait.Observe(now - seg.enqueueMS)
-	if s.trace != nil {
-		s.trace(now, d.id, seg.start, seg.n, seg.write, svc)
-	}
 	if s.spanTrace != nil {
 		s.spanTrace(Span{
 			Disk:      d.id,

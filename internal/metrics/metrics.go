@@ -4,14 +4,19 @@
 // system, file system, allocators, and workload harness, and exported as
 // JSON, CSV, or Prometheus text exposition (export.go).
 //
+// The bundle is a run's summary. Its record is core's event trace
+// (Config.TraceWriter), and core's TestTraceAgreesWithBundle checks that
+// the two agree: per-drive busy, seek, rotation and transfer time, bytes,
+// segments, queue waits and operations.
+//
 // Two properties shape the design:
 //
 //   - Disabled must be free. Every handle type (*Counter, *Gauge, *Hist,
-//     *Timeline) treats a nil receiver as a dropped metric, exactly like
-//     trace.Tracer, so instrumented call sites need no guards and compile
-//     to a nil check on the hot path. A nil *Registry likewise returns
-//     nil handles. With metrics off the simulator's steady state performs
-//     no metric work and allocates nothing (scripts/check_allocs.sh).
+//     *Timeline) treats a nil receiver as a dropped metric, so
+//     instrumented call sites need no guards and compile to a nil check
+//     on the hot path. A nil *Registry likewise returns nil handles. With
+//     metrics off the simulator's steady state performs no metric work
+//     and allocates nothing (scripts/check_allocs.sh).
 //
 //   - Enabled must be bounded. With metrics on, per-event cost is integer
 //     and float adds into preallocated handles; the only allocations are

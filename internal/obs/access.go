@@ -41,8 +41,8 @@ type AccessRecord struct {
 
 // AccessLogger writes one slog JSON record per AccessRecord. A nil
 // *AccessLogger drops everything, mirroring the nil-receiver convention
-// of internal/metrics and internal/trace, so the serving path needs no
-// guards when logging is off.
+// of internal/metrics, so the serving path needs no guards when logging
+// is off.
 type AccessLogger struct {
 	log *slog.Logger
 }

@@ -5,10 +5,14 @@
 // parser (promparse.go) used by the rofs-load harness and the format
 // tests.
 //
+// Its trace IDs name HTTP requests, not simulated events: a run's events
+// are recorded by core's event trace (rofsim -trace) and summarized by
+// its metrics bundle (internal/metrics).
+//
 // The package is deliberately independent of the simulator: nothing in
-// internal/sim, core, or disk imports it, so with logging and tracing
-// off the hot loop is untouched — the golden Table 3 and the zero-alloc
-// budgets hold by construction.
+// internal/sim, core, or disk imports it, so the hot loop never pays for
+// it — the golden Table 3 and the zero-alloc budgets hold by
+// construction.
 package obs
 
 import (

@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 
 budget=bench/allocs_budget.txt
 out=$(go test -run '^$' \
-	-bench '^(BenchmarkEngine(Throughput|SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd|BenchmarkGrowTruncate|BenchmarkChurn|BenchmarkGrowThenExtents)$' \
-	-benchmem -benchtime 0.5s . ./internal/sim ./internal/container/... ./internal/alloc/...)
+	-bench '^(BenchmarkEngine(SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd|BenchmarkGrowTruncate|BenchmarkChurn|BenchmarkGrowThenExtents)$' \
+	-benchmem -benchtime 0.5s ./internal/sim ./internal/container/... ./internal/alloc/...)
 echo "$out"
 
 fail=0
