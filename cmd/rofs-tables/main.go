@@ -97,7 +97,7 @@ func progress(_ int, r runner.Result) {
 func main() {
 	var (
 		expFlag     = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,fig1,fig2,fig3,fig4,fig5,table4,fig6,raid,stripe,mix,cluster,sched,realloc,meta,skew,freelist,faults,fleet,trace,aging,compact, or all")
-		scaleFlag   = flag.String("scale", "bench", "full (the paper's 8-drive 2.8G array) or bench (reduced)")
+		scaleFlag   = flag.String("scale", "bench", "full (the paper's 8-drive array, 2.8 G decimal) or bench (reduced)")
 		seedFlag    = flag.Int64("seed", 42, "simulation seed")
 		jobsFlag    = flag.Int("jobs", runtime.GOMAXPROCS(0), "maximum simulations running at once")
 		timeoutFlag = flag.Duration("timeout", 0, "overall deadline (e.g. 10m; 0 means none)")

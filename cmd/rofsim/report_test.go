@@ -14,8 +14,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the report golden from th
 
 // reportCases cover every report shape rofsim prints: one per test kind,
 // a fleet, a compaction overlay, a RAID-5 fault run, explicit seeds
-// (including 0), a stripe/block override, a JSON workload file, and a
-// workload dump. All run at bench scale with a small simulated-time cap.
+// (including 0), a stripe/block override, a JSON workload file, a
+// workload dump, and a RAID-5 run whose rebuild completes. All run at
+// bench scale; all but the last with a small simulated-time cap. New
+// cases go at the end, so the golden only grows.
 var reportCases = []struct{ name, args string }{
 	{"alloc", "-policy rbuddy -workload TS -test alloc"},
 	{"alloc-extent", "-policy extent -fit best -ranges 4 -workload TP -test alloc"},
@@ -30,6 +32,8 @@ var reportCases = []struct{ name, args string }{
 	{"fixed-stripe", "-policy fixed -block 16K -stripe 48K -seed 7 -workload TP -test app -max-sim 10000"},
 	{"workload-file", "-workload-file testdata/small-ts.json -policy extent -ranges 2 -test app -max-sim 10000"},
 	{"dump-workload", "-dump-workload SC"},
+	{"raid5-rebuild", "-workload TS -test app -disks 4 -layout raid5 -fail-at 20000 -fail-drive 1 " +
+		"-transient 0.001 -rebuild -rebuild-chunk 4194304"},
 }
 
 // TestReportGolden pins rofsim's stdout, byte for byte, for every case in

@@ -19,8 +19,8 @@ import (
 //   - cluster mode off: exactly core.Run.
 //   - a fleet of one with no admission policy: delegated verbatim to
 //     core.Run, so an N=1 cluster run reproduces the equivalent plain run
-//     byte-identically — report and metrics bundle (the check_cluster.sh
-//     gate).
+//     byte-identically — report and metrics bundle
+//     (TestSingleInstanceMatchesPlainRun).
 //   - a real fleet: N instances, each on its own engine, closed-loop (each
 //     member serves its own user population) or open-loop (a central
 //     arrival process routed through admission and routing policies), with
@@ -136,7 +136,6 @@ func newDeployment(cfg core.Config, cc Config) (*Deployment, error) {
 			icfg.TraceWriter = nil
 		}
 		if i != cc.FaultInstance {
-			icfg.Degraded = false
 			icfg.Faults = fault.Scenario{}
 		}
 		eng := &sim.Engine{}

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rofs/internal/cluster"
 	"rofs/internal/core"
@@ -95,6 +97,34 @@ func TestRoundRobinFleetGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("par=%d: round-robin fleet deviates from %s:\n%s", par, golden, got)
 		}
+	}
+}
+
+// On a wide host the parallel executor must pay: a 16-instance
+// round-robin fleet (the batched tier) at Parallelism 16 runs at least
+// twice as fast as serially. The floor is generous for instances that
+// advance independently between barriers; a narrow host has nothing to
+// fan out to, so the test skips there.
+func TestParallelSpeedupOnWideHost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock measurement; skipped in -short")
+	}
+	if n := runtime.NumCPU(); n < 8 {
+		t.Skipf("%d CPUs; the speedup floor needs at least 8", n)
+	}
+	cfg := openLoop(benchCfg(t), 1600)
+	cfg.MaxSimMS = 120_000
+	wall := func(par int) time.Duration {
+		start := time.Now()
+		if _, err := cluster.Run(cfg, cluster.Config{Instances: 16, Parallelism: par}, core.Application); err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		return time.Since(start)
+	}
+	serial, par := wall(1), wall(16)
+	t.Logf("serial %v, par=16 %v on %d CPUs", serial, par, runtime.NumCPU())
+	if 2*par > serial {
+		t.Errorf("par=16 (%v) is under 2x faster than serial (%v)", par, serial)
 	}
 }
 

@@ -57,10 +57,6 @@ type Config struct {
 	// (still deterministic per seed) differs from a metrics-off run's.
 	Metrics *metrics.Registry
 
-	// Degraded fails drive 0 before the run (RAID-5 only): reads
-	// reconstruct from the survivors, writes update parity alone.
-	Degraded bool
-
 	// Faults, when enabled, injects the declared fault scenario into the
 	// run: seeded drive failures, transient media errors, hot-spare
 	// rebuild, and bounded retry-with-backoff (see internal/fault). It
@@ -85,13 +81,6 @@ func (c *Config) setDefaults() error {
 	}
 	if err := c.Workload.Validate(); err != nil {
 		return err
-	}
-	if c.Degraded {
-		// Legacy alias: Degraded predates the fault layer and always meant
-		// "drive 0 dead before the run". It now just sets the scenario's
-		// PreFail path, so there is exactly one mechanism that fails drives.
-		c.Faults.PreFail = true
-		c.Faults.FailDrive = 0
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
@@ -281,8 +270,7 @@ func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance
 	}
 	s.dsys = dsys
 	if cfg.Faults.PreFail {
-		// The one way to start a run with a dead drive: the legacy
-		// Config.Degraded flag is folded into Faults.PreFail by setDefaults.
+		// The one way to start a run with a dead drive.
 		if err := dsys.FailDrive(cfg.Faults.FailDrive); err != nil {
 			return nil, err
 		}

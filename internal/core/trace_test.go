@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"errors"
@@ -16,67 +15,6 @@ import (
 
 	"rofs/internal/metrics"
 )
-
-func TestTraceCapturesOpsAndSegments(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := Config{
-		Disk:        smallDisk(),
-		Policy:      RBuddy(3, 1, true),
-		Workload:    scaledTS(),
-		Seed:        4,
-		MaxSimMS:    30_000,
-		TraceWriter: &buf,
-	}
-	res, err := RunApplication(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 {
-		t.Fatal("no operations ran")
-	}
-	var ops, segs int64
-	kinds := map[string]bool{}
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var lastTime float64
-	for sc.Scan() {
-		fields := strings.SplitN(sc.Text(), "\t", 3)
-		if len(fields) != 3 {
-			t.Fatalf("malformed trace line %q", sc.Text())
-		}
-		ts, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			t.Fatalf("bad timestamp in %q", sc.Text())
-		}
-		if ts < lastTime-1e-3 {
-			// op completions and seg starts interleave but never go
-			// backwards beyond rounding.
-			t.Fatalf("trace time went backwards: %g after %g", ts, lastTime)
-		}
-		lastTime = ts
-		switch fields[1] {
-		case "op":
-			ops++
-			kinds[strings.Fields(fields[2])[0]] = true
-		case "seg":
-			segs++
-			if !strings.Contains(fields[2], "disk=") || !strings.Contains(fields[2], "svc=") {
-				t.Fatalf("malformed seg detail %q", fields[2])
-			}
-		default:
-			t.Fatalf("unknown trace kind %q", fields[1])
-		}
-	}
-	if ops == 0 || segs == 0 {
-		t.Fatalf("trace missing events: ops=%d segs=%d", ops, segs)
-	}
-	// The TS mix must show reads, writes, and deallocations.
-	for _, k := range []string{"read", "write", "dealloc"} {
-		if !kinds[k] {
-			t.Errorf("trace never saw a %s op (kinds: %v)", k, kinds)
-		}
-	}
-}
 
 func TestLatencyReported(t *testing.T) {
 	res, err := RunApplication(Config{
@@ -156,15 +94,27 @@ type traceTotals struct {
 }
 
 // sumTrace parses every line of a trace, failing on one that does not
-// match its kind's format, and adds the records up.
+// match its kind's format or whose time goes backwards, and adds the
+// records up.
 func sumTrace(t *testing.T, trace *bytes.Buffer) traceTotals {
 	t.Helper()
 	tt := traceTotals{drives: map[int]*driveTotals{}, ops: map[string]int64{}}
+	last := 0.0
 	for _, line := range strings.Split(strings.TrimSuffix(trace.String(), "\n"), "\n") {
 		f := strings.SplitN(line, "\t", 3)
 		if len(f) != 3 {
 			t.Fatalf("malformed trace line %q", line)
 		}
+		at, err := strconv.ParseFloat(f[0], 64)
+		if err != nil {
+			t.Fatalf("bad time in %q", line)
+		}
+		// op completions and seg starts interleave, but never go back
+		// by more than the 3-decimal rounding.
+		if at < last-1e-3 {
+			t.Fatalf("trace time went back: %q after %g", line, last)
+		}
+		last = at
 		switch f[1] {
 		case "seg":
 			var (
@@ -225,10 +175,11 @@ func TestTraceAgreesWithBundle(t *testing.T) {
 		name string
 		cfg  Config
 		kind TestKind
+		mix  []string // op kinds the trace must show
 	}{
-		{"app", metricsConfig(4), Application},
-		{"seq", metricsConfig(5), Sequential},
-		{"faults", faultTestConfig(), Application},
+		{"app", metricsConfig(4), Application, []string{"read", "write", "dealloc"}},
+		{"seq", metricsConfig(5), Sequential, nil},
+		{"faults", faultTestConfig(), Application, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -280,6 +231,11 @@ func TestTraceAgreesWithBundle(t *testing.T) {
 			}
 			if ops == 0 {
 				t.Fatal("trace has no op records")
+			}
+			for _, name := range c.mix {
+				if tt.ops[name] == 0 {
+					t.Errorf("trace never saw a %s op (ops: %v)", name, tt.ops)
+				}
 			}
 			lat := reg.Histogram("core.latency_ms", nil)
 			exact("op latencies", ops, lat.Total())

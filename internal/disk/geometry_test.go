@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,13 +22,21 @@ func TestWrenIVMatchesTable1(t *testing.T) {
 	if g.RotationMS != 16.67 || g.SingleTrackSeekMS != 5.5 || g.SeekIncrementMS != 0.0320 {
 		t.Errorf("timing = %v", g)
 	}
-	// One drive: 24K * 9 * 1600 = 337.5M; eight drives ≈ the paper's 2.8 G.
+	// One drive: 24K * 9 * 1600 = 337.5M.
 	if got := g.Capacity(); got != 337*units.MB+512*units.KB {
 		t.Errorf("Capacity = %s", units.Format(got))
 	}
+	// Eight drives: the paper's "2.8 G" is decimal; units.Format, which
+	// table1 prints, is binary.
 	total := 8 * g.Capacity()
-	if total < 2700*units.MB || total > 2800*units.MB {
-		t.Errorf("8-drive capacity = %s, want ≈2.8G", units.Format(total))
+	if total != 2_831_155_200 {
+		t.Errorf("8-drive capacity = %d bytes, want 2,831,155,200", total)
+	}
+	if got := fmt.Sprintf("%.1f G", float64(total)/1e9); got != "2.8 G" {
+		t.Errorf("8-drive capacity in decimal units = %s, want the paper's 2.8 G", got)
+	}
+	if got := units.Format(total); got != "2.6G" {
+		t.Errorf("8-drive capacity in binary units = %s, want 2.6G", got)
 	}
 }
 

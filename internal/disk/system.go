@@ -115,8 +115,9 @@ func (c Config) minCapacity() int64 {
 }
 
 // DefaultConfig returns the simulated configuration of Table 1: eight Wren
-// IV drives (2.8 G total), 1K disk units, one-track (24K) stripe units,
-// plain striping.
+// IV drives (2,831,155,200 bytes: the paper's 2.8 G in decimal units,
+// 2.6G in units.Format's binary ones), 1K disk units, one-track (24K)
+// stripe units, plain striping.
 func DefaultConfig() Config {
 	return Config{
 		Geometry:        WrenIV(),

@@ -87,7 +87,7 @@ func AblationRAID(ctx context.Context, pool *runner.Pool, sc Scale, wlName strin
 		for _, kind := range []core.TestKind{core.Application, core.Sequential} {
 			sp := sc.Spec(core.RBuddy(5, 1, true), wl, kind)
 			sp.Disk = dcfg
-			sp.Degraded = v.degraded
+			sp.Faults.PreFail = v.degraded
 			specs = append(specs, sp)
 		}
 	}

@@ -4,9 +4,10 @@
 // rows; rendering lives with the callers.
 //
 // Experiments run at a Scale: FullScale reproduces the paper's
-// configuration (8 × Wren IV, 2.8 G, full workloads); BenchScale is a
-// shape-preserving reduction (2 drives, workloads divided) that runs in
-// milliseconds-to-seconds per experiment for tests and `go test -bench`.
+// configuration (8 × Wren IV, 2.8 G in decimal units, full workloads);
+// BenchScale is a shape-preserving reduction (2 drives, workloads divided)
+// that runs in milliseconds-to-seconds per experiment for tests and
+// `go test -bench`.
 //
 // Each experiment declares its runs as runner.Specs and assembles its
 // rows from the pooled results, so a shared runner.Pool executes a whole

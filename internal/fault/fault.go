@@ -49,10 +49,10 @@ type Scenario struct {
 	FailDrive int `json:"fail_drive,omitempty"`
 	// PreFail fails FailDrive before the run begins: the whole run executes
 	// in degraded mode (reads reconstruct from the survivors, writes update
-	// parity alone). It subsumes the legacy core.Config.Degraded flag, which
-	// remains as a documented alias for PreFail with FailDrive 0. PreFail
-	// alone does not arm the injector or the retry machinery — it is a
-	// static initial condition, not an event.
+	// parity alone). A run description's legacy "degraded" field parses
+	// to PreFail with FailDrive 0. PreFail alone does not arm the injector
+	// or the retry machinery — it is a static initial condition, not an
+	// event.
 	PreFail bool `json:"pre_fail,omitempty"`
 
 	// TransientProb is the per-segment probability that a serviced segment

@@ -69,11 +69,6 @@ type Pool struct {
 	// cached Result carries the registry of the run that populated it.
 	MetricsIntervalMS float64
 
-	// Metrics holds optional pool-level observability handles; nil handles
-	// drop their updates, so the zero value costs nothing. Set it (or call
-	// Instrument) before the first Run.
-	Metrics Metrics
-
 	// Store, when set, is the disk tier beneath the in-memory cache:
 	// misses read through to it, simulated results write through, so a
 	// restarted process serves previously computed Specs byte-identically
@@ -94,29 +89,9 @@ type Pool struct {
 	lru        *list.List // completed entries, front = most recently used
 	cacheBytes int64      // sum of completed entries' envelope sizes
 
-	// statsMu guards stats and the Metrics handles (registry handles are
-	// not safe for concurrent update on their own).
+	// statsMu guards stats.
 	statsMu sync.Mutex
 	stats   Stats
-}
-
-// Metrics is the pool's set of nil-safe observability handles, typically
-// obtained from one metrics.Registry via Instrument. Gauges track the
-// instantaneous queue depth (accepted by Run, no worker yet) and in-flight
-// count (worker occupied, including cache waits); counters accumulate
-// lifetime submitted / cached / failed totals.
-type Metrics struct {
-	QueueDepth *metrics.Gauge
-	InFlight   *metrics.Gauge
-	Submitted  *metrics.Counter
-	Cached     *metrics.Counter
-	Coalesced  *metrics.Counter
-	Failed     *metrics.Counter
-	// Disk-tier and cache-bound instrumentation.
-	DiskHits       *metrics.Counter
-	CacheEvictions *metrics.Counter
-	CacheEntries   *metrics.Gauge
-	CacheBytes     *metrics.Gauge
 }
 
 // Stats is a point-in-time snapshot of the pool's lifetime activity.
@@ -167,24 +142,6 @@ func readRuntime() RuntimeStats {
 	}
 }
 
-// Instrument registers the pool's gauges and counters (pool.queue_depth,
-// pool.in_flight, pool.runs_submitted, pool.runs_cached, pool.runs_failed)
-// on reg. A nil registry installs nil (dropping) handles.
-func (p *Pool) Instrument(reg *metrics.Registry) {
-	p.Metrics = Metrics{
-		QueueDepth:     reg.Gauge("pool.queue_depth"),
-		InFlight:       reg.Gauge("pool.in_flight"),
-		Submitted:      reg.Counter("pool.runs_submitted"),
-		Cached:         reg.Counter("pool.runs_cached"),
-		Coalesced:      reg.Counter("pool.runs_coalesced"),
-		Failed:         reg.Counter("pool.runs_failed"),
-		DiskHits:       reg.Counter("pool.runs_disk_hit"),
-		CacheEvictions: reg.Counter("pool.cache_evictions"),
-		CacheEntries:   reg.Gauge("pool.cache_entries"),
-		CacheBytes:     reg.Gauge("pool.cache_bytes"),
-	}
-}
-
 // Stats returns a snapshot of the pool's counters and gauges, with the
 // Go runtime read at call time.
 func (p *Pool) Stats() Stats {
@@ -195,7 +152,7 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// noteCacheLocked refreshes the cache-footprint stats and gauges from
+// noteCacheLocked refreshes the cache-footprint stats from
 // the live structures. Caller holds p.mu (the canonical lock order is
 // mu before statsMu; nothing takes them the other way).
 func (p *Pool) noteCacheLocked() {
@@ -206,8 +163,6 @@ func (p *Pool) noteCacheLocked() {
 	p.statsMu.Lock()
 	p.stats.CacheEntries = entries
 	p.stats.CacheBytes = p.cacheBytes
-	p.Metrics.CacheEntries.Set(float64(entries))
-	p.Metrics.CacheBytes.Set(float64(p.cacheBytes))
 	p.statsMu.Unlock()
 }
 
@@ -219,8 +174,6 @@ func (p *Pool) enqueue(n int) {
 	if p.stats.QueueDepth > p.stats.PeakQueueDepth {
 		p.stats.PeakQueueDepth = p.stats.QueueDepth
 	}
-	p.Metrics.Submitted.Add(int64(n))
-	p.Metrics.QueueDepth.Set(float64(p.stats.QueueDepth))
 	p.statsMu.Unlock()
 }
 
@@ -232,8 +185,6 @@ func (p *Pool) dequeue() {
 	if p.stats.InFlight > p.stats.PeakInFlight {
 		p.stats.PeakInFlight = p.stats.InFlight
 	}
-	p.Metrics.QueueDepth.Set(float64(p.stats.QueueDepth))
-	p.Metrics.InFlight.Set(float64(p.stats.InFlight))
 	p.statsMu.Unlock()
 }
 
@@ -246,21 +197,16 @@ func (p *Pool) finish(r Result, simulated bool) {
 	}
 	if r.Cached {
 		p.stats.Cached++
-		p.Metrics.Cached.Inc()
 	}
 	if r.Coalesced {
 		p.stats.Coalesced++
-		p.Metrics.Coalesced.Inc()
 	}
 	if r.DiskHit {
 		p.stats.DiskHits++
-		p.Metrics.DiskHits.Inc()
 	}
 	if r.Err != nil {
 		p.stats.Failed++
-		p.Metrics.Failed.Inc()
 	}
-	p.Metrics.InFlight.Set(float64(p.stats.InFlight))
 	p.statsMu.Unlock()
 }
 
@@ -362,7 +308,6 @@ func (p *Pool) completeLocked(e *cacheEntry) {
 			p.dropEntryLocked(v)
 			p.statsMu.Lock()
 			p.stats.CacheEvictions++
-			p.Metrics.CacheEvictions.Inc()
 			p.statsMu.Unlock()
 		}
 	}
@@ -507,10 +452,7 @@ func (p *Pool) simulate(ctx context.Context, sp Spec) (out core.Outcome, err err
 	if p.MetricsIntervalMS > 0 {
 		cfg.Metrics = metrics.New(p.MetricsIntervalMS)
 	}
-	if sp.Cluster.Enabled() {
-		return cluster.Run(cfg, sp.Cluster, sp.Kind)
-	}
-	return core.Run(cfg, sp.Kind)
+	return cluster.Run(cfg, sp.Cluster, sp.Kind)
 }
 
 // Do runs fn(i) for every i in [0, n) on at most Jobs workers and returns

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"rofs/internal/metrics"
 )
 
 // TestPoolSingleFlightAcrossRuns proves the cache is single-flight under
@@ -55,14 +53,10 @@ func TestPoolSingleFlightAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestPoolStatsAndInstrument checks the saturation accounting: gauges
-// return to zero once a batch drains, peaks record the high-water marks,
-// and Instrument mirrors the counters onto a metrics registry.
-func TestPoolStatsAndInstrument(t *testing.T) {
+// TestPoolStats checks the saturation accounting: gauges return to zero
+// once a batch drains, and peaks record the high-water marks.
+func TestPoolStats(t *testing.T) {
 	p := New(2)
-	reg := metrics.New(metrics.DefaultIntervalMS)
-	p.Instrument(reg)
-
 	specs := []Spec{testSpec(t, 1), testSpec(t, 1), testSpec(t, 2)}
 	if _, err := p.Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
@@ -77,29 +71,5 @@ func TestPoolStatsAndInstrument(t *testing.T) {
 	}
 	if st.PeakQueueDepth < 1 || st.PeakInFlight < 1 {
 		t.Errorf("peaks not recorded: %+v", st)
-	}
-
-	// Registry handles are interned by name, so fetching them again reads
-	// the same counters Instrument installed.
-	if got := reg.Counter("pool.runs_submitted").Value(); got != 3 {
-		t.Errorf("pool.runs_submitted = %d; want 3", got)
-	}
-	if got := reg.Counter("pool.runs_cached").Value(); got != 1 {
-		t.Errorf("pool.runs_cached = %d; want 1", got)
-	}
-	if got := reg.Gauge("pool.in_flight").Value(); got != 0 {
-		t.Errorf("pool.in_flight gauge = %g; want 0 after drain", got)
-	}
-}
-
-// TestPoolNilMetricsHandles proves the zero-valued Metrics field is safe:
-// an uninstrumented pool must not panic while updating its handles.
-func TestPoolNilMetricsHandles(t *testing.T) {
-	p := New(1)
-	if _, err := p.Run(context.Background(), []Spec{testSpec(t, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.Submitted != 1 {
-		t.Errorf("stats = %+v; want 1 submitted", st)
 	}
 }

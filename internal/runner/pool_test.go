@@ -45,13 +45,13 @@ func TestSpecKeyIdentity(t *testing.T) {
 		t.Error("Name leaked into the key; it is presentation-only")
 	}
 	for name, mutate := range map[string]func(*Spec){
-		"seed":   func(s *Spec) { s.Seed = 2 },
-		"kind":   func(s *Spec) { s.Kind = core.Application },
-		"policy": func(s *Spec) { s.Policy = core.RBuddy(5, 1.5, true) },
-		"max":    func(s *Spec) { s.MaxSimMS = 30_000 },
-		"stable": func(s *Spec) { s.StableWindows = 8 },
-		"deg":    func(s *Spec) { s.Degraded = true },
-		"disk":   func(s *Spec) { s.Disk.NDisks = 3 },
+		"seed":    func(s *Spec) { s.Seed = 2 },
+		"kind":    func(s *Spec) { s.Kind = core.Application },
+		"policy":  func(s *Spec) { s.Policy = core.RBuddy(5, 1.5, true) },
+		"max":     func(s *Spec) { s.MaxSimMS = 30_000 },
+		"stable":  func(s *Spec) { s.StableWindows = 8 },
+		"prefail": func(s *Spec) { s.Faults.PreFail = true },
+		"disk":    func(s *Spec) { s.Disk.NDisks = 3 },
 	} {
 		c := testSpec(t, 1)
 		mutate(&c)

@@ -46,9 +46,6 @@ type Spec struct {
 	// StableWindows overrides how many consecutive in-tolerance windows
 	// count as a stabilized throughput run (0: the core default of 3).
 	StableWindows int
-	// Degraded fails drive 0 before the run (RAID-5 only). It is the
-	// legacy alias for Faults.PreFail with FailDrive 0.
-	Degraded bool
 	// Faults declares the run's fault scenario (zero: no faults).
 	Faults fault.Scenario
 	// Cluster, when enabled, runs the Spec as an N-instance fleet through
@@ -71,7 +68,6 @@ func (s Spec) Config() core.Config {
 		Seed:          s.Seed,
 		MaxSimMS:      s.MaxSimMS,
 		StableWindows: s.StableWindows,
-		Degraded:      s.Degraded,
 		Faults:        s.Faults,
 	}
 }
@@ -85,9 +81,12 @@ func (s Spec) Key() string {
 	// Workload renders through KeyString, which matches the historical
 	// two-field %+v dump byte-for-byte and appends an arrivals term only
 	// when an open-loop process is configured — a raw %+v would render the
-	// Arrivals pointer as an address and break key determinism.
-	key := fmt.Sprintf("%s|%+v|%+v|%s|seed=%d|max=%g|sw=%d|deg=%t",
-		s.Kind, s.Policy, s.Disk, s.Workload.KeyString(), s.Seed, s.MaxSimMS, s.StableWindows, s.Degraded)
+	// Arrivals pointer as an address and break key determinism. The
+	// deg=false term stays literal so that keys, and the results stored
+	// under them, stay byte-identical; a pre-failed drive is
+	// Faults.PreFail, which adds the fault term.
+	key := fmt.Sprintf("%s|%+v|%+v|%s|seed=%d|max=%g|sw=%d|deg=false",
+		s.Kind, s.Policy, s.Disk, s.Workload.KeyString(), s.Seed, s.MaxSimMS, s.StableWindows)
 	// The fault term is appended only for enabled scenarios, so fault-free
 	// Specs keep the key encoding they had before faults existed (pinned
 	// by the spec-key golden test).

@@ -67,7 +67,9 @@ type RunRequest struct {
 	Disks       int    `json:"disks,omitempty"`
 	Layout      string `json:"layout,omitempty"` // striped | mirrored | raid5 | parity
 	StripeBytes int64  `json:"stripe_bytes,omitempty"`
-	Degraded    bool   `json:"degraded,omitempty"`
+	// Degraded is the legacy spelling of faults.pre_fail with fail_drive
+	// 0; Spec parses it to exactly that.
+	Degraded bool `json:"degraded,omitempty"`
 
 	// Faults declares the run's fault scenario (see internal/fault); nil
 	// or a zero scenario runs fault-free. Drive failures require the
@@ -219,12 +221,15 @@ func (req *RunRequest) spec(custom *workload.Workload) (runner.Spec, error) {
 	var faults fault.Scenario
 	if req.Faults != nil {
 		faults = *req.Faults
-		if err := faults.Validate(); err != nil {
-			return zero, err
-		}
+	}
+	faults.PreFail = faults.PreFail || req.Degraded
+	if err := faults.Validate(); err != nil {
+		return zero, err
 	}
 	switch {
-	case (req.Degraded || faults.PreFail) && sc.Disk.Layout != disk.RAID5:
+	case req.Degraded && faults.FailDrive != 0:
+		return zero, fmt.Errorf("degraded fails drive 0; to pre-fail drive %d, use faults.pre_fail", faults.FailDrive)
+	case faults.PreFail && sc.Disk.Layout != disk.RAID5:
 		return zero, fmt.Errorf("degraded mode requires the raid5 layout")
 	case faults.FailsDrive() && sc.Disk.Layout != disk.RAID5:
 		return zero, fmt.Errorf("drive-failure faults require the raid5 layout")
@@ -343,7 +348,6 @@ func (req *RunRequest) spec(custom *workload.Workload) (runner.Spec, error) {
 	sp := sc.Spec(policy, wl, kind)
 	sp.Name = req.Name
 	sp.StableWindows = req.StableWindows
-	sp.Degraded = req.Degraded
 	sp.Faults = faults
 	sp.Cluster = cl
 	return sp, nil

@@ -43,8 +43,9 @@ type serverMetrics struct {
 	latencies map[string]*metrics.Hist
 
 	// Pool mirror: gauges copied and counters delta-advanced from
-	// runner.Stats at scrape time, so the pool's own handles stay free
-	// for single-threaded users and no lock is shared with the hot path.
+	// runner.Stats at scrape time. Stats is the pool's only record of its
+	// activity, and reading it per scrape shares no lock with the pool's
+	// hot path.
 	poolQueue, poolInFlight               *metrics.Gauge
 	poolPeakQueue, poolPeakInFlight       *metrics.Gauge
 	poolSubmitted, poolCached, poolFailed *metrics.Counter

@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"flag"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"rofs/internal/core"
+	"rofs/internal/experiments"
 	"rofs/internal/runner"
 )
 
@@ -40,6 +44,17 @@ var parityRows = []struct {
 			`"faults":{"fail_at_ms":5000,"fail_drive":1,"transient_prob":0.001,"rebuild":true}}`},
 	{name: "pre-fail-raid5", args: "-policy buddy -workload TS -test app -disks 4 -layout raid5 -pre-fail -fail-drive 2",
 		body: `{"policy":"buddy","workload":"TS","test":"app","disks":4,"layout":"raid5","faults":{"pre_fail":true,"fail_drive":2}}`},
+	// The legacy "degraded" field and faults.pre_fail (the CLI request as
+	// sent) are one simulation under one key.
+	{name: "degraded-raid5", args: "-policy buddy -workload TS -test app -disks 4 -layout raid5 -pre-fail",
+		body: `{"policy":"buddy","workload":"TS","test":"app","disks":4,"layout":"raid5","degraded":true}`, keyHas: "|prefail=true"},
+	// A trace file is read client-side and shipped inline; {trace} names
+	// a copy of mixedTrace.
+	{name: "arrival-trace-file", args: "-policy buddy -workload TP -test app -arrival-trace {trace}",
+		body: `{"policy":"buddy","workload":"TP","test":"app","arrivals":{"trace":[{"at_ms":0,"op":"read"},` +
+			`{"at_ms":100,"op":"write","client":3},{"at_ms":250,"op":"read","client":42},{"at_ms":400,"op":"extend"},` +
+			`{"at_ms":500,"op":"write","client":42},{"at_ms":1000,"op":"dealloc","client":7}]}}`,
+		keyHas: "|arrivals{"},
 	{name: "fleet", args: "-policy buddy -workload TP -test app -instances 2 -routing least -snapshot-ms 250 " +
 		"-rate 200 -arrival-clients 64",
 		body: `{"policy":"buddy","workload":"TP","test":"app","cluster":{"instances":2,"routing":"least","snapshot_ms":250},` +
@@ -88,6 +103,9 @@ var parityRows = []struct {
 	{name: "degraded-striped", args: "-policy buddy -workload TS -test app -pre-fail",
 		body: `{"policy":"buddy","workload":"TS","test":"app","degraded":true}`,
 		err:  "degraded mode requires the raid5 layout"},
+	{name: "degraded-fail-at", args: "-policy buddy -workload TS -test app -disks 4 -layout raid5 -pre-fail -fail-at 5000 -fail-drive 1",
+		body: `{"policy":"buddy","workload":"TS","test":"app","disks":4,"layout":"raid5","degraded":true,"faults":{"fail_at_ms":5000,"fail_drive":1}}`,
+		err:  "fault: PreFail starts the run with FailDrive dead; combining it with scheduled drive failures (FailAtMS/MTTFMS) would fail a second drive, which RAID5 cannot survive"},
 	{name: "fail-at-striped", args: "-policy buddy -workload TS -test app -fail-at 5000",
 		body: `{"policy":"buddy","workload":"TS","test":"app","faults":{"fail_at_ms":5000}}`,
 		err:  "drive-failure faults require the raid5 layout"},
@@ -119,6 +137,17 @@ var parityRows = []struct {
 		body: `{"policy":"buddy","workload":"TS","test":"bogus"}`,
 		err:  `unknown test "bogus" (want alloc, app, seq, or aging)`},
 }
+
+// mixedTrace is an arrival trace in both grammars: simple lines and
+// blkparse queue records.
+const mixedTrace = `# mixed-grammar trace
+0 read
+100 write - 3
+8,0 1 1 0.250000000 42 Q R 128 + 8 [app]
+400 extend
+8,0 1 2 0.500000000 42 Q W 256 + 16 [app]
+1000 dealloc - 7
+`
 
 // cliSpec builds a row's Spec the way rofsim does.
 func cliSpec(t *testing.T, args string) (RunRequest, runner.Spec, error) {
@@ -154,9 +183,13 @@ func bodySpec(body string) (runner.Spec, error) {
 // carrying that message, admitting nothing.
 func TestCLIAndHTTPParity(t *testing.T) {
 	_, c := newTestServer(t, Options{Jobs: 1})
+	trace := filepath.Join(t.TempDir(), "ops.trace")
+	if err := os.WriteFile(trace, []byte(mixedTrace), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range parityRows {
 		t.Run(row.name, func(t *testing.T) {
-			req, flags, cliErr := cliSpec(t, row.args)
+			req, flags, cliErr := cliSpec(t, strings.ReplaceAll(row.args, "{trace}", trace))
 			body, httpErr := bodySpec(row.body)
 			if row.err == "" {
 				if cliErr != nil || httpErr != nil {
@@ -201,6 +234,32 @@ func TestCLIAndHTTPParity(t *testing.T) {
 	if runs, _ := c.List(context.Background()); len(runs) != 0 {
 		t.Errorf("invalid submissions were admitted: %d runs", len(runs))
 	}
+}
+
+// TestBuddyRequestIsTable3Cell: a buddy/TS/app request with every other
+// field at its default (the "buddy" parity row shows that flags and body
+// agree) keys the same simulation as Table 3's buddy/TS/app cell, whose
+// throughput internal/experiments' Table 3 golden pins at
+// 21.168060167100702. One key is one simulation, so that is the value
+// the server serves.
+func TestBuddyRequestIsTable3Cell(t *testing.T) {
+	sp, err := bodySpec(`{"policy":"buddy","workload":"TS","test":"app"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := experiments.Table3Specs(experiments.BenchScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range cells {
+		if cell.Workload.Name == "TS" && cell.Kind == core.Application {
+			if sp.Key() != cell.Key() {
+				t.Errorf("request key differs from the Table 3 cell:\nrequest: %s\ncell:    %s", sp.Key(), cell.Key())
+			}
+			return
+		}
+	}
+	t.Fatal("Table 3 has no TS application cell")
 }
 
 // TestCLIRejectsMalformedSizes covers flag text with no JSON spelling:

@@ -70,52 +70,73 @@ func waitForState(t *testing.T, c *Client, id, want string) RunStatus {
 
 // TestResultMatchesDirectPoolRun is the service's core contract: a run
 // served over HTTP returns exactly what a direct runner.Pool run of the
-// same Spec produces — same perf numbers, same stats, and a byte-identical
-// (modulo JSON whitespace, which the transport re-indents) metrics bundle.
+// same Spec produces — same perf or aging result, same stats, and a
+// byte-identical (modulo JSON whitespace, which the transport re-indents)
+// metrics bundle — for an application and an aging run.
 func TestResultMatchesDirectPoolRun(t *testing.T) {
 	_, c := newTestServer(t, Options{Jobs: 2})
 
-	req := shortReq()
-	st, err := c.SubmitWait(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone || st.Result == nil || st.Result.Perf == nil {
-		t.Fatalf("unexpected terminal status: %+v", st)
-	}
+	aging := shortReq()
+	aging.Test = "aging"
+	for _, req := range []RunRequest{shortReq(), aging} {
+		t.Run(req.Test, func(t *testing.T) {
+			st, err := c.SubmitWait(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateDone || st.Result == nil {
+				t.Fatalf("unexpected terminal status: %+v", st)
+			}
+			got := resultOf(t, st.Result)
 
-	// The same request, executed directly on a fresh pool configured like
-	// the server, encoded through the same path.
-	sp, err := req.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := runner.New(1)
-	pool.MetricsIntervalMS = metrics.DefaultIntervalMS
-	res, err := pool.Run(context.Background(), []runner.Spec{sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := newRunResult(res[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+			// The same request, executed directly on a fresh pool
+			// configured like the server, encoded through the same path.
+			sp, err := req.Spec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := runner.New(1)
+			pool.MetricsIntervalMS = metrics.DefaultIntervalMS
+			res, err := pool.Run(context.Background(), []runner.Spec{sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := newRunResult(res[0])
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if got, want := mustJSON(t, st.Result.Perf), mustJSON(t, direct.Perf); got != want {
-		t.Errorf("perf result diverged:\nhttp:   %s\ndirect: %s", got, want)
+			if want := resultOf(t, direct); got != want {
+				t.Errorf("%s result diverged:\nhttp:   %s\ndirect: %s", req.Test, got, want)
+			}
+			if got, want := mustJSON(t, st.Result.Stats), mustJSON(t, direct.Stats); got != want {
+				t.Errorf("run stats diverged:\nhttp:   %s\ndirect: %s", got, want)
+			}
+			if len(st.Result.Metrics) == 0 || len(direct.Metrics) == 0 {
+				t.Fatal("metrics bundle missing on one side")
+			}
+			if !strings.Contains(string(st.Result.Metrics), metrics.SchemaV1) {
+				t.Errorf("HTTP metrics bundle does not declare schema %s", metrics.SchemaV1)
+			}
+			if got, want := compactJSON(t, st.Result.Metrics), compactJSON(t, direct.Metrics); !bytes.Equal(got, want) {
+				t.Errorf("metrics bundles diverged:\nhttp:   %s\ndirect: %s", got, want)
+			}
+		})
 	}
-	if got, want := mustJSON(t, st.Result.Stats), mustJSON(t, direct.Stats); got != want {
-		t.Errorf("run stats diverged:\nhttp:   %s\ndirect: %s", got, want)
+}
+
+// resultOf returns the JSON of the one result a RunResult of its test
+// carries, failing when that result is missing or empty.
+func resultOf(t *testing.T, r *RunResult) string {
+	t.Helper()
+	switch {
+	case r.Test == "app" && r.Perf != nil && r.Perf.Ops > 0:
+		return mustJSON(t, r.Perf)
+	case r.Test == "aging" && r.Aging != nil && r.Aging.Ops > 0 && len(r.Aging.Samples) > 0:
+		return mustJSON(t, r.Aging)
 	}
-	if len(st.Result.Metrics) == 0 || len(direct.Metrics) == 0 {
-		t.Fatal("metrics bundle missing on one side")
-	}
-	if !strings.Contains(string(st.Result.Metrics), metrics.SchemaV1) {
-		t.Errorf("HTTP metrics bundle does not declare schema %s", metrics.SchemaV1)
-	}
-	if got, want := compactJSON(t, st.Result.Metrics), compactJSON(t, direct.Metrics); !bytes.Equal(got, want) {
-		t.Errorf("metrics bundles diverged:\nhttp:   %s\ndirect: %s", got, want)
-	}
+	t.Fatalf("%s result missing: %+v", r.Test, r)
+	return ""
 }
 
 // TestDuplicateSpecsHitCache proves request coalescing end to end: the
@@ -342,30 +363,40 @@ func TestDrainStopsAdmission(t *testing.T) {
 }
 
 // TestBadRequestsRejected covers the validation surface: malformed JSON,
-// unknown fields, and spec-level validation all 400 without admitting.
+// unknown fields, and spec-level validation all 400, with a message that
+// names the problem, without admitting.
 func TestBadRequestsRejected(t *testing.T) {
-	s, c := newTestServer(t, Options{Jobs: 1})
-	for name, body := range map[string]string{
-		"malformed":     `{"policy": `,
-		"unknown-field": `{"policy":"buddy","workload":"TS","test":"app","blocksize":17}`,
-		"bad-policy":    `{"policy":"slab","workload":"TS","test":"app"}`,
-		"bad-workload":  `{"policy":"buddy","workload":"XX","test":"app"}`,
-		"bad-degraded":  `{"policy":"buddy","workload":"TS","test":"app","degraded":true}`,
-		"removed-field": `{"policy":"buddy","workload":"TS","test":"app","checkpoint_every_ms":5000}`,
+	_, c := newTestServer(t, Options{Jobs: 1})
+	for _, tc := range []struct{ name, body, errHas string }{
+		{"malformed", `{"policy": `, "bad request body"},
+		{"unknown-field", `{"policy":"buddy","workload":"TS","test":"app","blocksize":17}`, `unknown field "blocksize"`},
+		{"bad-policy", `{"policy":"slab","workload":"TS","test":"app"}`, `unknown policy "slab"`},
+		{"bad-workload", `{"policy":"buddy","workload":"XX","test":"app"}`, `unknown workload "XX"`},
+		{"bad-degraded", `{"policy":"buddy","workload":"TS","test":"app","degraded":true}`, "requires the raid5 layout"},
+		{"degraded-drive-2", `{"policy":"buddy","workload":"TS","test":"app","disks":4,"layout":"raid5",` +
+			`"degraded":true,"faults":{"fail_drive":2}}`, "degraded fails drive 0; to pre-fail drive 2, use faults.pre_fail"},
+		{"trace-file", `{"policy":"buddy","workload":"TP","test":"app","arrivals":{"trace_file":"ops.trace"}}`,
+			"trace_file is not accepted over HTTP; send the trace inline"},
+		{"removed-field", `{"policy":"buddy","workload":"TS","test":"app","checkpoint_every_ms":5000}`,
+			`unknown field "checkpoint_every_ms"`},
 	} {
-		resp, err := http.Post(c.BaseURL+"/v1/runs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(c.BaseURL+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e errorJSON
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		if err != nil {
+			t.Fatalf("%s: error body: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.errHas) {
+			t.Errorf("%s: %d %q, want 400 naming %q", tc.name, resp.StatusCode, e.Error, tc.errHas)
 		}
 	}
 	if runs, _ := c.List(context.Background()); len(runs) != 0 {
 		t.Errorf("invalid submissions were admitted: %d runs", len(runs))
 	}
-	_ = s
 }
 
 func mustJSON(t *testing.T, v any) string {

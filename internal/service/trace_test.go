@@ -147,7 +147,7 @@ func TestTraceRoundTripAndAccessLog(t *testing.T) {
 // buckets are cumulative and consistent, and the new phase, coalesce,
 // and Go-runtime series are present with sane values.
 func TestMetricsExpositionWellFormed(t *testing.T) {
-	_, c := newTestServer(t, Options{Jobs: 1, QueueDepth: 1})
+	s, c := newTestServer(t, Options{Jobs: 1, QueueDepth: 1})
 	ctx := context.Background()
 
 	if _, err := c.SubmitWait(ctx, shortReq()); err != nil {
@@ -236,12 +236,22 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		t.Error("rofs_go_gc_pause_ms histogram missing")
 	}
 
-	// Disposition counters line up with what the test drove.
+	// Disposition counters line up with what the test drove. The pool
+	// mirror equals the pool's own Stats: both short runs and the slot
+	// holder reached the pool, and the filler did too unless its cancel
+	// beat the holder's slot release.
+	pool := s.Pool().Stats()
+	if pool.Submitted < 3 {
+		t.Errorf("pool saw %d submissions, want >= 3", pool.Submitted)
+	}
 	for name, want := range map[string]float64{
+		"rofs_service_runs_admitted": 4,
 		"rofs_service_runs_done":     2,
 		"rofs_service_runs_cached":   1,
 		"rofs_service_runs_rejected": 1,
 		"rofs_service_runs_canceled": 2,
+		"rofs_pool_runs_submitted":   float64(pool.Submitted),
+		"rofs_pool_runs_cached":      1,
 	} {
 		if v, _ := sc.Value(name); v != want {
 			t.Errorf("%s = %v, want %v", name, v, want)

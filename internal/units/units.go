@@ -131,8 +131,10 @@ func ParseSize(s string) (int64, error) {
 	return int64(v) * mult, nil
 }
 
-// Format renders a byte count the way the paper does: "8K", "1M", "2.8G".
-// Exact multiples print without a fraction; otherwise one decimal is kept.
+// Format renders a byte count in binary units with the paper's suffixes:
+// "8K", "1M", "2.6G". The paper's array capacity is decimal: its 2.8 G is
+// 2,831,155,200 bytes, which Format prints as 2.6G. Exact multiples print
+// without a fraction; otherwise one decimal is kept.
 func Format(v int64) string {
 	format := func(val int64, unit int64, suffix string) string {
 		if val%unit == 0 {

@@ -3,8 +3,9 @@
 # A server restarted over the same -store-dir must serve an identical
 # resubmission from disk (disposition disk-hit) with a byte-identical
 # result payload and metrics bundle; a kill -9 must not lose records that
-# were already served; and a repeated rofs-load mix across a restart must
-# show disk hits while the accounting agreement still holds.
+# were already served; a repeated rofs-load mix across a restart must
+# show disk hits while the accounting agreement still holds; and every
+# SIGTERM must drain, log it, and exit 0.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,13 +45,18 @@ boot_server() { # boot_server NAME EXTRA-FLAGS...
 	export ROFS_SERVER
 }
 
-stop_server() {
+stop_server() { # stop_server NAME
 	kill -TERM "$server_pid"
 	wait "$server_pid" || {
-		echo "check_store: FAIL: server exited non-zero after SIGTERM" >&2
+		echo "check_store: FAIL: $1 server exited non-zero after SIGTERM" >&2
 		exit 1
 	}
 	server_pid=""
+	grep -q 'draining' "$tmp/$1.server.log" || {
+		echo "check_store: FAIL: $1 server log shows no drain" >&2
+		cat "$tmp/$1.server.log" >&2
+		exit 1
+	}
 }
 
 # payload extracts the deterministic part of a run response: everything
@@ -67,7 +73,7 @@ if [ "$disp" != "simulated" ]; then
 	echo "check_store: FAIL: cold run disposition is '$disp', want simulated" >&2
 	exit 1
 fi
-stop_server
+stop_server cold
 
 echo "check_store: restarted server serves the identical bytes from disk"
 boot_server warm -jobs 2
@@ -115,18 +121,18 @@ if [ "$disp" != "disk-hit" ]; then
 	cat "$tmp/recover.server.log" >&2
 	exit 1
 fi
-stop_server
+stop_server recover
 
 echo "check_store: repeated load mix across a restart is served from disk"
 rm -rf "$store"
 boot_server load1 -jobs 4
 "$tmp/rofs-load" -mode closed -workers 3 -duration 3s -seed 99 \
 	-json "$tmp/load1.json" >/dev/null 2>&1
-stop_server
+stop_server load1
 boot_server load2 -jobs 4
 "$tmp/rofs-load" -mode closed -workers 3 -duration 3s -seed 99 \
 	-json "$tmp/load2.json" >"$tmp/load2.out" 2>&1
-stop_server
+stop_server load2
 hits=$(jq -r '.total.disk_hits' "$tmp/load2.json")
 if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
 	echo "check_store: FAIL: second load run saw no disk hits" >&2
