@@ -112,16 +112,6 @@ type FreeSpaceReporter interface {
 	FreeSpaceStats() FreeSpaceStats
 }
 
-// DescriptorCounter is the optional interface policies implement to report
-// how many layout descriptors a file's metadata must hold: one per block
-// for the block-based policies, one per as-allocated extent for the extent
-// policy. The file system's metadata accounting ([STON81]'s "excessive
-// amounts of meta data" criticism, which the paper's introduction cites)
-// is built on it.
-type DescriptorCounter interface {
-	DescriptorCount() int
-}
-
 // AppendExtent appends e to list, merging it into the last entry when the
 // two are physically adjacent — shared by every policy so contiguous
 // allocations present as single long extents to the I/O path.

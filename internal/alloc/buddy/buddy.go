@@ -198,8 +198,9 @@ func (f *file) Extents() []alloc.Extent { return f.extents }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
-// DescriptorCount implements alloc.DescriptorCounter: one descriptor per
-// extent; the doubling rule keeps this logarithmic in the file size.
+// DescriptorCount is how many layout descriptors the file's metadata
+// holds, for fs.MetaStats: one per extent; the doubling rule keeps this
+// logarithmic in the file size.
 func (f *file) DescriptorCount() int { return len(f.blocks) }
 
 // nextExtentUnits returns the size of the next extent under the doubling

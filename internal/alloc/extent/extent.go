@@ -177,8 +177,8 @@ func (f *file) AllocatedUnits() int64 { return f.allocated }
 // merging) — the quantity Table 4 averages per file.
 func (f *file) ExtentCount() int { return len(f.pieces) }
 
-// DescriptorCount implements alloc.DescriptorCounter: one descriptor per
-// as-allocated extent.
+// DescriptorCount is how many layout descriptors the file's metadata
+// holds, for fs.MetaStats: one per as-allocated extent.
 func (f *file) DescriptorCount() int { return len(f.pieces) }
 
 // drawExtentUnits samples the file's extent size: N(mean, DevFraction·mean)

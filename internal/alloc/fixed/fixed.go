@@ -158,8 +158,9 @@ func (f *file) Extents() []alloc.Extent { return f.extents }
 
 func (f *file) AllocatedUnits() int64 { return f.allocated }
 
-// DescriptorCount implements alloc.DescriptorCounter: fixed-block files
-// need one pointer per block — the metadata burden [STON81] criticizes.
+// DescriptorCount is how many layout descriptors the file's metadata
+// holds, for fs.MetaStats: fixed-block files need one pointer per block —
+// the metadata burden [STON81] criticizes.
 func (f *file) DescriptorCount() int { return len(f.blocks) }
 
 // Grow implements alloc.File.

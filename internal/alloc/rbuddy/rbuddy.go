@@ -433,9 +433,9 @@ func (f *file) AllocatedUnits() int64 { return f.allocated }
 // BlockCount returns the number of blocks (before physical merging).
 func (f *file) BlockCount() int { return len(f.blocks) }
 
-// DescriptorCount implements alloc.DescriptorCounter: one descriptor per
-// block; the grow policy bounds blocks per size class, so descriptors stay
-// few even for huge files.
+// DescriptorCount is how many layout descriptors the file's metadata
+// holds, for fs.MetaStats: one per block; the grow policy bounds blocks
+// per size class, so descriptors stay few even for huge files.
 func (f *file) DescriptorCount() int { return len(f.blocks) }
 
 // nextClass advances the grow policy: allocation moves up a size once the

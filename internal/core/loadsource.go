@@ -55,8 +55,7 @@ type ArrivalSource struct {
 	next  int
 	base  float64
 
-	emitted int64
-	fire    sim.Handler
+	fire sim.Handler
 }
 
 // NewArrivalSource builds the source for a workload's Arrivals block. The
@@ -141,7 +140,6 @@ func (s *ArrivalSource) emit(now float64) {
 	if s.mode == workload.ArrivalsPoisson {
 		a.Client = s.rng.Intn(s.clients)
 	}
-	s.emitted++
 	s.sink(now, a)
 	switch s.mode {
 	case workload.ArrivalsPoisson:
@@ -152,9 +150,6 @@ func (s *ArrivalSource) emit(now float64) {
 		}
 	}
 }
-
-// Emitted returns how many arrivals the source has delivered.
-func (s *ArrivalSource) Emitted() int64 { return s.emitted }
 
 // Exhausted reports whether a trace source has replayed every operation.
 // Poisson sources never exhaust.

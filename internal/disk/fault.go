@@ -121,9 +121,6 @@ func (s *System) ArmFaults(cfg FaultConfig) error {
 	return nil
 }
 
-// FaultsArmed reports whether ArmFaults has been called.
-func (s *System) FaultsArmed() bool { return s.flt != nil }
-
 // Degraded reports whether a drive is currently failed.
 func (s *System) Degraded() bool { return s.failed >= 0 }
 

@@ -2,8 +2,8 @@
 // per-request trace IDs (minted at the rofs-server boundary, propagated
 // via the X-Rofs-Trace-Id header and the context), structured JSON
 // access-log records over log/slog, and a Prometheus text-exposition
-// parser (promparse.go) used by the rofs-load harness and the format
-// tests.
+// parser (promparse.go) that the serving tests and the repository
+// benchmark check /metrics with.
 //
 // Its trace IDs name HTTP requests, not simulated events: a run's events
 // are recorded by core's event trace (rofsim -trace) and summarized by
@@ -61,7 +61,8 @@ func RandomTraceID() string {
 }
 
 // TraceIDFromUint64 renders a 64-bit value as a trace ID — the seeded
-// path rofs-load uses so a -seed fixes the whole ID sequence.
+// path, for a caller such as a load test that must issue the same IDs
+// on every run.
 func TraceIDFromUint64(v uint64) string {
 	return fmt.Sprintf("%016x", v)
 }

@@ -196,23 +196,6 @@ func (s *Scrape) Value(name string) (float64, bool) {
 	return 0, false
 }
 
-// Scalars returns every non-bucket sample as a name → value map — the
-// compact view rofs-load stores per scrape. Histogram _sum/_count
-// scalars are included; _bucket series (which need their le label to
-// mean anything) are not. Duplicate names keep the first sample.
-func (s *Scrape) Scalars() map[string]float64 {
-	out := make(map[string]float64, len(s.Samples))
-	for _, smp := range s.Samples {
-		if strings.HasSuffix(smp.Name, "_bucket") {
-			continue
-		}
-		if _, ok := out[smp.Name]; !ok {
-			out[smp.Name] = smp.Value
-		}
-	}
-	return out
-}
-
 // CheckHistograms validates every declared histogram family: each
 // _bucket series must be cumulative (non-decreasing as le rises), must
 // end in an le="+Inf" bucket, and that bucket must equal the family's

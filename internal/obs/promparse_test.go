@@ -35,13 +35,6 @@ func TestParsePromWellFormed(t *testing.T) {
 	if err := sc.CheckHistograms(); err != nil {
 		t.Errorf("CheckHistograms: %v", err)
 	}
-	scalars := sc.Scalars()
-	if _, ok := scalars["rofs_service_queue_wait_ms_bucket"]; ok {
-		t.Error("Scalars should exclude _bucket series")
-	}
-	if scalars["rofs_service_queue_wait_ms_count"] != 3 {
-		t.Errorf("Scalars missing histogram count: %v", scalars)
-	}
 	if sc.Samples[0].Labels["component"] != "rofs-server" {
 		t.Errorf("labels = %v", sc.Samples[0].Labels)
 	}

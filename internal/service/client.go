@@ -140,18 +140,6 @@ func (c *Client) SubmitRetry(ctx context.Context, req RunRequest, retries int) (
 	return out, err
 }
 
-// SubmitWaitRetry is SubmitWait with the same 503 backoff as
-// SubmitRetry.
-func (c *Client) SubmitWaitRetry(ctx context.Context, req RunRequest, retries int) (RunStatus, error) {
-	var out RunStatus
-	err := c.retry(ctx, retries, func() error {
-		var err error
-		out, err = c.SubmitWait(ctx, req)
-		return err
-	})
-	return out, err
-}
-
 // retry runs attempt up to 1+retries times, sleeping the server's
 // Retry-After between 503s; ctx cancellation cuts the wait short.
 func (c *Client) retry(ctx context.Context, retries int, attempt func() error) error {
@@ -256,22 +244,4 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", fmt.Errorf("metrics scrape: %s", resp.Status)
 	}
 	return string(b), nil
-}
-
-// Healthy reports whether the server answers /healthz within timeout —
-// the startup probe scripts and tests poll.
-func (c *Client) Healthy(timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(c.BaseURL, "/")+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }

@@ -45,6 +45,27 @@ func longReq(seed int64) RunRequest {
 		MaxSimMS: 1e9, StableWindows: 1 << 30, Seed: seed}
 }
 
+// holdCapacity fills every worker slot and then the admission queue with
+// longReq runs, so that any further submission is shed whatever its
+// timing, and returns the holders' run IDs.
+func holdCapacity(t *testing.T, c *Client, opts Options) []string {
+	t.Helper()
+	var ids []string
+	for i := 0; i < opts.Jobs+opts.QueueDepth; i++ {
+		sub, err := c.Submit(context.Background(), longReq(int64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := StateQueued
+		if i < opts.Jobs {
+			want = StateRunning
+		}
+		waitForState(t, c, sub.ID, want)
+		ids = append(ids, sub.ID)
+	}
+	return ids
+}
+
 // waitForState polls a run's status until it reaches want (fatal on
 // timeout or on passing want by to a different terminal state).
 func waitForState(t *testing.T, c *Client, id, want string) RunStatus {
@@ -328,37 +349,36 @@ func TestEventsStreamDeliversResult(t *testing.T) {
 // submissions while the server finishes (here: has no) outstanding work.
 func TestDrainStopsAdmission(t *testing.T) {
 	s, c := newTestServer(t, Options{Jobs: 1})
-	if !c.Healthy(time.Second) {
-		t.Fatal("server not healthy before drain")
+	probe := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp, err := http.Get(c.BaseURL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	if code := probe("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz before drain = %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz before drain = %d", resp.StatusCode)
+	if code := probe("/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz before drain = %d", code)
 	}
 
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain with no runs: %v", err)
 	}
-	resp, err = http.Get(c.BaseURL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	if code := probe("/readyz"); code != http.StatusServiceUnavailable {
+		t.Errorf("readyz while draining = %d, want 503", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("readyz while draining = %d, want 503", resp.StatusCode)
-	}
-	_, err = c.Submit(context.Background(), shortReq())
+	_, err := c.Submit(context.Background(), shortReq())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusServiceUnavailable {
 		t.Errorf("submission while draining: err = %v, want 503", err)
 	}
 	// Liveness is unaffected — only readiness reports the drain.
-	if !c.Healthy(time.Second) {
-		t.Error("healthz failed during drain")
+	if code := probe("/healthz"); code != http.StatusOK {
+		t.Errorf("healthz during drain = %d", code)
 	}
 }
 

@@ -40,28 +40,36 @@ func (b *syncBuf) lines() []string {
 	return out
 }
 
-// accessRecords polls the log until at least n records parse, returning
-// them decoded (the middleware writes the record after the handler
-// returns, so the response can arrive before the line does).
-func accessRecords(t *testing.T, buf *syncBuf, n int) []map[string]any {
+// accessRecords polls the log until each of traces has a record, and
+// returns every record decoded, by trace (the middleware writes the
+// record after the handler returns, so the response can arrive before
+// the line does).
+func accessRecords(t *testing.T, buf *syncBuf, traces ...string) map[string][]map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		lines := buf.lines()
-		if len(lines) >= n {
-			out := make([]map[string]any, 0, len(lines))
-			for _, ln := range lines {
-				var rec map[string]any
-				if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-					t.Fatalf("access log line is not JSON: %v\n%s", err, ln)
-				}
-				out = append(out, rec)
+		recs := make(map[string][]map[string]any)
+		for _, ln := range lines {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+				t.Fatalf("access log line is not JSON: %v\n%s", err, ln)
 			}
-			return out
+			trace, _ := rec["trace"].(string)
+			recs[trace] = append(recs[trace], rec)
+		}
+		missing := 0
+		for _, trace := range traces {
+			if len(recs[trace]) == 0 {
+				missing++
+			}
+		}
+		if missing == 0 {
+			return recs
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("access log has %d records, want >= %d:\n%s",
-				len(lines), n, strings.Join(lines, "\n"))
+			t.Fatalf("access log has no record for %d of %d traces:\n%s",
+				missing, len(traces), strings.Join(lines, "\n"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -104,31 +112,22 @@ func TestTraceRoundTripAndAccessLog(t *testing.T) {
 		t.Error("minted trace collided with the supplied one")
 	}
 
-	recs := accessRecords(t, buf, 2)
-	perTrace := make(map[string]int)
-	for _, rec := range recs {
-		trace, _ := rec["trace"].(string)
-		perTrace[trace]++
-		if rec["msg"] != "access" {
-			t.Errorf("record msg = %v, want access", rec["msg"])
+	recs := accessRecords(t, buf, mine, st2.TraceID)
+	for _, rs := range recs {
+		for _, rec := range rs {
+			if rec["msg"] != "access" {
+				t.Errorf("record msg = %v, want access", rec["msg"])
+			}
 		}
 	}
 	for _, want := range []string{mine, st2.TraceID} {
-		if perTrace[want] != 1 {
-			t.Errorf("trace %s has %d access records, want exactly 1", want, perTrace[want])
+		if n := len(recs[want]); n != 1 {
+			t.Errorf("trace %s has %d access records, want exactly 1", want, n)
 		}
 	}
 
 	// The ?wait=1 record carries the full lifecycle.
-	var submitRec map[string]any
-	for _, rec := range recs {
-		if rec["trace"] == mine {
-			submitRec = rec
-		}
-	}
-	if submitRec == nil {
-		t.Fatal("no access record for the traced submission")
-	}
+	submitRec := recs[mine][0]
 	for _, key := range []string{"route", "status", "dur_ms", "run", "spec", "spec_key",
 		"queue_ms", "run_ms", "encode_ms", "cached", "coalesced", "outcome"} {
 		if _, ok := submitRec[key]; !ok {
@@ -158,36 +157,20 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 
 	// Overload: slot held, queue full, so a third submission is rejected.
-	hold, err := c.Submit(ctx, longReq(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, c, hold.ID, StateRunning)
-	filler, err := c.Submit(ctx, longReq(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, c, filler.ID, StateQueued)
+	held := holdCapacity(t, c, Options{Jobs: 1, QueueDepth: 1})
 	if _, err := c.Submit(ctx, longReq(11)); err == nil {
 		t.Fatal("expected a 503 with the queue full")
 	}
-	for _, id := range []string{hold.ID, filler.ID} {
+	for _, id := range held {
 		if _, err := c.Cancel(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 		waitForState(t, c, id, StateCanceled)
 	}
 
-	body, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := obs.ParseProm(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, body)
-	}
-	if err := sc.CheckHistograms(); err != nil {
-		t.Errorf("histogram invariants: %v", err)
+	sc := scrapeMetrics(t, c)
+	if sc == nil {
+		t.FailNow()
 	}
 
 	// Every sample must belong to a TYPE-declared family.
@@ -336,23 +319,14 @@ func TestSSESlowConsumerNoGoroutineLeak(t *testing.T) {
 // after the server's Retry-After hint, and succeeds once capacity frees
 // up; with capacity still held, retries exhaust and surface the 503.
 func TestSubmitRetryHonorsRetryAfter(t *testing.T) {
-	_, c := newTestServer(t, Options{Jobs: 1, QueueDepth: 1, RetryAfter: time.Second})
+	opts := Options{Jobs: 1, QueueDepth: 1, RetryAfter: time.Second}
+	_, c := newTestServer(t, opts)
 	ctx := context.Background()
-
-	hold, err := c.Submit(ctx, longReq(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, c, hold.ID, StateRunning)
-	filler, err := c.Submit(ctx, longReq(22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, c, filler.ID, StateQueued)
+	held := holdCapacity(t, c, opts)
 
 	// Exhausted retries surface the APIError (two attempts, both 503).
 	start := time.Now()
-	_, err = c.SubmitRetry(ctx, shortReq(), 1)
+	_, err := c.SubmitRetry(ctx, shortReq(), 1)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want a 503 APIError", err)
@@ -367,12 +341,17 @@ func TestSubmitRetryHonorsRetryAfter(t *testing.T) {
 	// Free capacity mid-retry: the resubmission goes through.
 	go func() {
 		time.Sleep(300 * time.Millisecond)
-		c.Cancel(ctx, hold.ID)
-		c.Cancel(ctx, filler.ID)
+		for _, id := range held {
+			c.Cancel(ctx, id)
+		}
 	}()
-	st, err := c.SubmitWaitRetry(ctx, shortReq(), 3)
+	sub, err := c.SubmitRetry(ctx, shortReq(), 3)
 	if err != nil {
 		t.Fatalf("retry after capacity freed: %v", err)
+	}
+	st, err := c.Wait(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st.State != StateDone {
 		t.Errorf("state = %q, want done", st.State)
