@@ -133,6 +133,11 @@ func main() {
 		CacheEntries:      *cacheEntriesFlag,
 	})
 
+	// Catch SIGTERM before the listener opens: a client that sees /readyz
+	// answer may signal at once, and a SIGTERM that arrives before the
+	// handler would kill the process instead of draining it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addrFlag)
 	if err != nil {
 		fatal("%v", err)
@@ -150,8 +155,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		fatal("%v", err)

@@ -16,7 +16,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrNoSpace is returned when a policy cannot satisfy an allocation
@@ -51,7 +50,11 @@ type Policy interface {
 	// NewFile creates an empty per-file allocation handle. sizeHint is the
 	// file type's AllocationSize parameter in units (Table 2), which the
 	// extent policy uses to choose the file's extent-size range; other
-	// policies may ignore it.
+	// policies may ignore it. Creating a file may change the policy too:
+	// a clustered restricted buddy places the file's descriptor in the
+	// region after the last satisfied request and counts that as the
+	// last satisfied request. File.Rearm makes exactly the same change.
+	// Handles come from a slab the policy owns (see Slab).
 	NewFile(sizeHint int64) File
 }
 
@@ -77,6 +80,13 @@ type File interface {
 	// size >= units (policies that allocate whole blocks cannot split
 	// them). TruncateTo(0) frees everything.
 	TruncateTo(units int64)
+	// Rearm frees everything, as TruncateTo(0) does, and then leaves the
+	// handle, and the policy, exactly as NewFile(sizeHint) would: the
+	// extent policy chooses the file's range from sizeHint again, and a
+	// clustered restricted buddy places a new descriptor. The handle and
+	// its lists' backing arrays are reused, so recreating a file
+	// (fs.File.Recreate) needs no new handle and no new lists.
+	Rearm(sizeHint int64)
 }
 
 // OpStats counts a policy's allocation operations since construction.
@@ -126,7 +136,9 @@ func AppendExtent(list []Extent, e Extent) []Extent {
 // AppendExtents folds every extent of added into list with AppendExtent,
 // growing list at most once: a policy's Grow commits the extents it took
 // this way, so a file's extent list costs one allocation per Grow at most.
-func AppendExtents(list, added []Extent) []Extent {
+// A list with no backing array yet takes exactly the room it needs from
+// slab, the policy's.
+func AppendExtents(slab *Slab[Extent], list, added []Extent) []Extent {
 	n, end := 0, int64(-1)
 	if len(list) > 0 {
 		end = list[len(list)-1].End()
@@ -137,7 +149,7 @@ func AppendExtents(list, added []Extent) []Extent {
 		}
 		end = e.End()
 	}
-	list = slices.Grow(list, n)
+	list = slab.Grow(list, n)
 	for _, e := range added {
 		list = AppendExtent(list, e)
 	}

@@ -48,7 +48,7 @@ func TestAppendExtentsMatchesFold(t *testing.T) {
 		for _, e := range c.added {
 			want = AppendExtent(want, e)
 		}
-		if got := AppendExtents(slices.Clone(c.list), c.added); !slices.Equal(got, want) {
+		if got := AppendExtents(&Slab[Extent]{}, slices.Clone(c.list), c.added); !slices.Equal(got, want) {
 			t.Errorf("%s: AppendExtents(%v, %v) = %v, want %v", c.name, c.list, c.added, got, want)
 		}
 	}

@@ -17,7 +17,6 @@ package buddy
 
 import (
 	"fmt"
-	"slices"
 
 	"rofs/internal/alloc"
 	"rofs/internal/container/bitset"
@@ -74,6 +73,11 @@ type Policy struct {
 	// grown is Grow's reusable scratch, one extent per block the call
 	// takes; Grow commits from it, rolls back from it and returns it.
 	grown []alloc.Extent
+	// files, blocks and extents hold the file handles and their lists'
+	// first backing arrays.
+	files   alloc.Slab[file]
+	blocks  alloc.Slab[block]
+	extents alloc.Slab[alloc.Extent]
 }
 
 // OpStats implements alloc.StatsReporter.
@@ -177,7 +181,9 @@ func (p *Policy) freeBlock(addr int64, order int) {
 // NewFile implements alloc.Policy. The buddy policy ignores the size hint:
 // extent sizes are dictated purely by the doubling rule.
 func (p *Policy) NewFile(int64) alloc.File {
-	return &file{p: p}
+	f := p.files.New()
+	f.p = p
+	return f
 }
 
 // file carries a buddy file's allocation: an extent list whose sizes are
@@ -241,14 +247,17 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		got += size
 	}
 	p.grown = added
-	f.blocks = slices.Grow(f.blocks, len(added))
+	f.blocks = p.blocks.Grow(f.blocks, len(added))
 	for _, e := range added {
 		f.blocks = append(f.blocks, block{e.Start, units.Log2(e.Len)})
 	}
-	f.extents = alloc.AppendExtents(f.extents, added)
+	f.extents = alloc.AppendExtents(&p.extents, f.extents, added)
 	f.allocated += got
 	return added, nil
 }
+
+// Rearm implements alloc.File: an empty buddy file is a new one.
+func (f *file) Rearm(int64) { f.TruncateTo(0) }
 
 // TruncateTo implements alloc.File: whole blocks wholly beyond the target
 // are freed (buddy blocks are atomic — a partially used block stays).

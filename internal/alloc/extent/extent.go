@@ -96,6 +96,10 @@ type Policy struct {
 	// grown is Grow's reusable scratch, the extents one call takes as
 	// allocated; Grow commits from it, rolls back from it and returns it.
 	grown []alloc.Extent
+	// files and extents hold the file handles and the first backing
+	// arrays of their two lists.
+	files   alloc.Slab[file]
+	extents alloc.Slab[alloc.Extent]
 }
 
 // OpStats implements alloc.StatsReporter. Coalesces come from the free
@@ -155,7 +159,16 @@ func (p *Policy) rangeFor(hint int64) int64 {
 
 // NewFile implements alloc.Policy.
 func (p *Policy) NewFile(sizeHint int64) alloc.File {
-	return &file{p: p, rangeMean: p.rangeFor(sizeHint)}
+	f := p.files.New()
+	f.p = p
+	f.rangeMean = p.rangeFor(sizeHint)
+	return f
+}
+
+// Rearm implements alloc.File: the emptied file chooses its range again.
+func (f *file) Rearm(sizeHint int64) {
+	f.TruncateTo(0)
+	f.rangeMean = f.p.rangeFor(sizeHint)
 }
 
 // file is a per-file allocation handle.
@@ -233,8 +246,8 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		got += size
 	}
 	p.grown = added
-	f.pieces = append(f.pieces, added...)
-	f.merged = alloc.AppendExtents(f.merged, added)
+	f.pieces = append(p.extents.Grow(f.pieces, len(added)), added...)
+	f.merged = alloc.AppendExtents(&p.extents, f.merged, added)
 	f.allocated += got
 	return added, nil
 }

@@ -53,6 +53,11 @@ type Policy struct {
 	// commits from them, rolls back from them and returns grown.
 	grownBlocks []int64
 	grown       []alloc.Extent
+	// files, blocks and extents hold the file handles and their lists'
+	// first backing arrays.
+	files   alloc.Slab[file]
+	blocks  alloc.Slab[int64]
+	extents alloc.Slab[alloc.Extent]
 }
 
 // OpStats implements alloc.StatsReporter. Fixed blocks never coalesce.
@@ -144,7 +149,9 @@ func (p *Policy) freeBlock(b int64) {
 // NewFile implements alloc.Policy; the block size is global, so the size
 // hint is ignored.
 func (p *Policy) NewFile(int64) alloc.File {
-	return &file{p: p}
+	f := p.files.New()
+	f.p = p
+	return f
 }
 
 type file struct {
@@ -184,16 +191,19 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		blocks = append(blocks, b)
 	}
 	p.grownBlocks = blocks
-	f.blocks = append(f.blocks, blocks...)
+	f.blocks = append(p.blocks.Grow(f.blocks, len(blocks)), blocks...)
 	f.allocated += need * bu
 	added := p.grown[:0]
 	for _, b := range blocks {
 		added = alloc.AppendExtent(added, alloc.Extent{Start: b * bu, Len: bu})
 	}
 	p.grown = added
-	f.extents = alloc.AppendExtents(f.extents, added)
+	f.extents = alloc.AppendExtents(&p.extents, f.extents, added)
 	return added, nil
 }
+
+// Rearm implements alloc.File: an empty fixed-block file is a new one.
+func (f *file) Rearm(int64) { f.TruncateTo(0) }
 
 // TruncateTo implements alloc.File: whole blocks beyond the target are
 // freed.

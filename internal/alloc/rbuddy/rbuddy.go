@@ -122,6 +122,11 @@ type Policy struct {
 	// commits from them, rolls back from them and returns grown.
 	grownBlocks []rblock
 	grown       []alloc.Extent
+	// files, blocks and extents hold the file handles and their lists'
+	// first backing arrays.
+	files   alloc.Slab[file]
+	blocks  alloc.Slab[rblock]
+	extents alloc.Slab[alloc.Extent]
 }
 
 // OpStats implements alloc.StatsReporter.
@@ -398,16 +403,30 @@ func (p *Policy) freeBlock(addr int64, c int) {
 }
 
 // NewFile implements alloc.Policy. The restricted buddy policy sizes
-// blocks by the grow policy alone, so the hint is ignored. For clustered
-// configurations the file descriptor is placed in the region after the
-// last satisfied request (the paper's "next region" rule).
+// blocks by the grow policy alone, so the hint is ignored.
 func (p *Policy) NewFile(int64) alloc.File {
-	f := &file{p: p}
-	if p.cfg.Clustered {
+	f := p.files.New()
+	f.p = p
+	f.placeDescriptor()
+	return f
+}
+
+// Rearm implements alloc.File: the emptied file gets a new descriptor,
+// placed as NewFile places one.
+func (f *file) Rearm(int64) {
+	f.TruncateTo(0)
+	f.placeDescriptor()
+}
+
+// placeDescriptor places a new file's descriptor: in a clustered
+// configuration, in the region after the last satisfied request (the
+// paper's "next region" rule), which then counts as the last satisfied
+// request.
+func (f *file) placeDescriptor() {
+	if p := f.p; p.cfg.Clustered {
 		f.fdRegion = (p.lastSatisfied + 1) % p.nRegions
 		p.lastSatisfied = f.fdRegion
 	}
-	return f
 }
 
 type rblock struct {
@@ -479,7 +498,7 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		got += size
 	}
 	p.grownBlocks = blocks
-	f.blocks = append(f.blocks, blocks...)
+	f.blocks = append(p.blocks.Grow(f.blocks, len(blocks)), blocks...)
 	f.unitsAtClass = uac
 	f.level = level
 	f.lastEnd = lastEnd
@@ -489,7 +508,7 @@ func (f *file) Grow(min int64) ([]alloc.Extent, error) {
 		added = alloc.AppendExtent(added, alloc.Extent{Start: b.addr, Len: p.sizes[b.class]})
 	}
 	p.grown = added
-	f.extents = alloc.AppendExtents(f.extents, added)
+	f.extents = alloc.AppendExtents(&p.extents, f.extents, added)
 	return added, nil
 }
 

@@ -109,8 +109,20 @@ func Example_handBuilt() {
 		fmt.Println("error:", err)
 		return
 	}
+	// Each 2M read is issued when the previous one completes.
 	var doneAt float64
-	f.ReadChunked(0, f.Length(), 2*units.MB, func(now float64) { doneAt = now })
+	var readFrom func(off int64)
+	readFrom = func(off int64) {
+		n := min(2*units.MB, f.Length()-off)
+		f.Read(off, n, func(now float64) {
+			if off+n < f.Length() {
+				readFrom(off + n)
+			} else {
+				doneAt = now
+			}
+		})
+	}
+	readFrom(0)
 	eng.Run(math.Inf(1))
 
 	rate := float64(f.Length()) / doneAt // bytes per ms

@@ -21,6 +21,7 @@ func (b *badFile) Extents() []alloc.Extent            { return b.extents }
 func (b *badFile) AllocatedUnits() int64              { return b.allocated }
 func (b *badFile) Grow(int64) ([]alloc.Extent, error) { return nil, alloc.ErrNoSpace }
 func (b *badFile) TruncateTo(int64)                   {}
+func (b *badFile) Rearm(int64)                        {}
 
 // inject adds fa to the file table at the next id, as Create would.
 func inject(fsys *FileSystem, fa alloc.File) *File {

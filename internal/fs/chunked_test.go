@@ -7,55 +7,6 @@ import (
 	"rofs/internal/units"
 )
 
-func TestWriteChunked(t *testing.T) {
-	fsys, eng, dsys := newDiskFS(t)
-	f := fsys.Create(0)
-	f.Allocate(8 * units.MB)
-	var done float64 = -1
-	f.WriteChunked(0, 8*units.MB, units.MB, func(now float64) { done = now })
-	eng.Run(math.Inf(1))
-	if done <= 0 {
-		t.Fatal("chunked write never completed")
-	}
-	if dsys.TotalBytes() != 8*units.MB {
-		t.Fatalf("moved %d bytes", dsys.TotalBytes())
-	}
-	stats := dsys.Stats()
-	var written int64
-	for _, s := range stats {
-		written += s.BytesWritten
-		if s.BytesRead != 0 {
-			t.Fatal("chunked write performed reads")
-		}
-	}
-	if written != 8*units.MB {
-		t.Fatalf("drives wrote %d bytes", written)
-	}
-}
-
-func TestChunkedPanicsOnBadChunk(t *testing.T) {
-	fsys, _, _ := newDiskFS(t)
-	f := fsys.Create(0)
-	f.Allocate(units.MB)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero chunk size did not panic")
-		}
-	}()
-	f.ReadChunked(0, units.MB, 0, nil)
-}
-
-func TestChunkedWithoutDiskCompletesImmediately(t *testing.T) {
-	fsys := newFS(t, 1000, 4)
-	f := fsys.Create(0)
-	f.Allocate(100 * units.KB)
-	called := false
-	f.ReadChunked(0, 100*units.KB, units.KB, func(float64) { called = true })
-	if !called {
-		t.Fatal("diskless chunked read did not complete synchronously")
-	}
-}
-
 func TestExtendWithNilDone(t *testing.T) {
 	fsys := newFS(t, 1000, 4)
 	f := fsys.Create(0)
@@ -67,6 +18,15 @@ func TestExtendWithNilDone(t *testing.T) {
 	}
 	if err := f.Extend(0, nil); err != nil {
 		t.Fatal("zero extend errored")
+	}
+	// Without a disk, a data operation completes before it returns.
+	calls := 0
+	if err := f.Extend(units.KB, func(float64) { calls++ }); err != nil {
+		t.Fatal(err)
+	}
+	f.Read(0, 2*units.KB, func(float64) { calls++ })
+	if calls != 2 {
+		t.Fatalf("%d of 2 diskless operations completed before returning", calls)
 	}
 }
 

@@ -28,8 +28,9 @@ type FileSystem struct {
 
 	// files is the file table, indexed by id: ids are dense from 0 and
 	// never reused, a deleted file's slot is nil, and live counts the
-	// non-nil slots.
+	// non-nil slots. The records it points at come from recs.
 	files     []*File
+	recs      alloc.Slab[File]
 	live      int
 	usedBytes int64 // sum of file lengths
 
@@ -162,7 +163,8 @@ type File struct {
 // choose the file's extent-size range.
 func (fs *FileSystem) Create(sizeHintBytes int64) *File {
 	hintUnits := units.CeilDiv(sizeHintBytes, fs.unitBytes)
-	f := &File{
+	f := fs.recs.New()
+	*f = File{
 		fs:       fs,
 		id:       int64(len(fs.files)),
 		fa:       fs.policy.NewFile(hintUnits),
@@ -374,56 +376,16 @@ func (f *File) Delete() {
 	f.fs.mDeletes.Inc()
 }
 
-// Recreate frees the file's space and gives it a fresh, empty allocation
-// handle — the paper's small files are "periodically deleted and
-// recreated" (§2.2), keeping the population constant. The file keeps its
-// id and its slot in the file table.
+// Recreate frees the file's space and re-arms its allocation handle as a
+// new file's — the paper's small files are "periodically deleted and
+// recreated" (§2.2), keeping the population constant. To the policy this
+// is a delete and a Create with the same size hint (alloc.File.Rearm);
+// the file keeps its id, its slot in the file table and its records.
 func (f *File) Recreate() {
 	f.fs.usedBytes -= f.length
 	f.length = 0
 	f.cursor = 0
-	f.fa.TruncateTo(0)
-	f.fa = f.fs.policy.NewFile(f.sizeHint)
+	f.fa.Rearm(f.sizeHint)
 	f.fs.mDeletes.Inc()
 	f.fs.mCreates.Inc()
-}
-
-// ReadChunked reads [off, off+n) as a pipeline of chunk-sized requests,
-// each issued when the previous completes — the read-ahead streaming that
-// keeps whole-file transfers (the sequential test of §3) flowing without
-// one monolithic request. done fires when the last chunk completes.
-func (f *File) ReadChunked(off, n, chunkBytes int64, done func(now float64)) {
-	f.chunked(off, n, chunkBytes, false, done)
-}
-
-// WriteChunked is the write-behind counterpart of ReadChunked.
-func (f *File) WriteChunked(off, n, chunkBytes int64, done func(now float64)) {
-	f.chunked(off, n, chunkBytes, true, done)
-}
-
-func (f *File) chunked(off, n, chunkBytes int64, write bool, done func(now float64)) {
-	if chunkBytes <= 0 {
-		panic("fs: non-positive chunk size")
-	}
-	off, n = f.clip(off, n)
-	if n == 0 || f.fs.dsys == nil {
-		if done != nil {
-			done(0)
-		}
-		return
-	}
-	var issue func(pos int64, now float64)
-	issue = func(pos int64, _ float64) {
-		chunk := chunkBytes
-		if pos+chunk > off+n {
-			chunk = off + n - pos
-		}
-		next := done
-		if pos+chunk < off+n {
-			nextPos := pos + chunk
-			next = func(now float64) { issue(nextPos, now) }
-		}
-		f.submit(f.runs(pos, chunk), write, next)
-	}
-	issue(off, 0)
 }

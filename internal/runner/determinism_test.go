@@ -18,34 +18,73 @@ import (
 
 // TestPoolParallelismIsDeterministic is the pool's core contract: because
 // every core session owns its engine, RNG, disk system, and file-system
-// state, running the BenchScale Table 3 grid on eight workers produces
-// byte-identical outcomes to running it serially.
+// state — file records and allocator slabs included — running a grid on
+// several workers produces byte-identical outcomes to running it
+// serially. The BenchScale Table 3 grid runs on eight workers outside
+// -short. The TS allocation and application cells of the four Figure 6
+// policies, which create and recreate the most files, run at a reduced
+// scale on four workers in every mode, so the race detector sees
+// concurrent file creation under every policy.
 func TestPoolParallelismIsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("grid run in short mode")
+	cases := []struct {
+		name  string
+		short bool // runs under -short
+		jobs  int
+		specs func() ([]runner.Spec, error)
+	}{
+		{"table3", false, 8, func() ([]runner.Spec, error) {
+			return experiments.Table3Specs(experiments.BenchScale())
+		}},
+		{"figure6-TS-creation", true, 4, func() ([]runner.Spec, error) {
+			sc := experiments.BenchScale()
+			sc.Div *= 8
+			sc.MaxSimMS = 10_000
+			wl, err := sc.Workload("TS")
+			if err != nil {
+				return nil, err
+			}
+			pols, err := sc.Figure6Policies("TS")
+			if err != nil {
+				return nil, err
+			}
+			var specs []runner.Spec
+			for _, kind := range []core.TestKind{core.Allocation, core.Application} {
+				for _, p := range pols {
+					specs = append(specs, sc.Spec(p, wl, kind))
+				}
+			}
+			return specs, nil
+		}},
 	}
-	specs, err := experiments.Table3Specs(experiments.BenchScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := runner.New(1).Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := runner.New(8).Run(context.Background(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		s := fmt.Sprintf("%#v", serial[i].Outcome)
-		p := fmt.Sprintf("%#v", parallel[i].Outcome)
-		if s != p {
-			t.Errorf("%s: jobs=8 outcome diverged from jobs=1:\nserial:   %s\nparallel: %s",
-				serial[i].Spec.Label(), s, p)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && !c.short {
+				t.Skip("grid run in short mode")
+			}
+			specs, err := c.specs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial, err := runner.New(1).Run(context.Background(), specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parallel, err := runner.New(c.jobs).Run(context.Background(), specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(serial) != len(parallel) {
+				t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
+			}
+			for i := range serial {
+				s := fmt.Sprintf("%#v", serial[i].Outcome)
+				p := fmt.Sprintf("%#v", parallel[i].Outcome)
+				if s != p {
+					t.Errorf("%s: jobs=%d outcome diverged from jobs=1:\nserial:   %s\nparallel: %s",
+						serial[i].Spec.Label(), c.jobs, s, p)
+				}
+			}
+		})
 	}
 }
 
