@@ -53,7 +53,8 @@ func main() {
 		storeMaxFlag = flag.String("store-max-bytes", "256M",
 			"result-store byte budget; least recently used records beyond it are evicted (K/M/G suffixes)")
 		cacheEntriesFlag = flag.Int("cache-entries", 0,
-			"bound the in-memory result cache to this many entries, LRU-evicted (0: unbounded)")
+			"bound the in-memory result cache to this many entries, LRU-evicted (0: unbounded); "+
+				"an entry holds a run's outcome and metrics bundle, never its simulator")
 
 		accessLogFlag = flag.String("access-log", "",
 			"write one JSON access record per request to this file (- for stderr; empty disables)")

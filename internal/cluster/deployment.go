@@ -423,11 +423,12 @@ func (d *Deployment) wireMetrics() {
 	}
 }
 
-// finalizeMetrics records the end-of-run fleet gauges and closes the
-// timelines. sim.events_fired sums every engine (instances plus control
-// plane); sim.heap_max sums the per-engine high-water marks — an upper
-// bound on the fleet's instantaneous total, reported in place of the
-// single shared heap the fleet no longer has.
+// finalizeMetrics records the end-of-run fleet gauges, closes the
+// timelines and drops the samplers, which reach every member.
+// sim.events_fired sums every engine (instances plus control plane);
+// sim.heap_max sums the per-engine high-water marks — an upper bound on
+// the fleet's instantaneous total, reported in place of the single
+// shared heap the fleet no longer has.
 func (d *Deployment) finalizeMetrics(end float64, rep *core.ClusterReport) {
 	reg := d.reg
 	if reg == nil {
@@ -446,5 +447,5 @@ func (d *Deployment) finalizeMetrics(end float64, rep *core.ClusterReport) {
 		reg.Gauge(p + "final_utilization").Set(ip.Utilization)
 		reg.Gauge(p + "routed").Set(float64(ip.Routed))
 	}
-	reg.Sample(end)
+	reg.Finish(end)
 }

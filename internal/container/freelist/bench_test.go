@@ -41,6 +41,11 @@ func BenchmarkAllocFreeCycle(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			t := fragmented(4096)
+			// The first BestFit builds the lazy size index; pick once
+			// before the timer so the loop times the steady cycle alone.
+			if _, ok := mode.pick(t, 1); !ok {
+				b.Fatal("no fit")
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -186,6 +186,7 @@ func (s *Instance) finalizeMetrics() {
 	}
 
 	// A final sample closes every timeline at the run's end time, so a run
-	// shorter than one interval still exports non-empty series.
-	reg.Sample(s.eng.Now())
+	// shorter than one interval still exports non-empty series. Finish
+	// then lets go of the samplers, which reach the whole simulator.
+	reg.Finish(s.eng.Now())
 }

@@ -25,7 +25,8 @@
 //
 // Timelines are driven by *simulated* time: the owner of the registry
 // schedules a fixed-interval engine event that calls Sample, which runs
-// every registered sampler. Wall time never appears in a bundle.
+// every registered sampler, and ends the run with Finish. Wall time never
+// appears in a bundle.
 package metrics
 
 import (
@@ -53,6 +54,7 @@ type Registry struct {
 
 	samplers []func(nowMS float64)
 	samples  int64
+	finished bool
 }
 
 // Label is one element of the run's identity (policy, workload, ...),
@@ -184,15 +186,30 @@ func (r *Registry) RegisterSampler(fn func(nowMS float64)) {
 }
 
 // Sample runs every registered sampler at simulated time nowMS. The
-// registry's owner drives it from a fixed-interval engine event.
+// registry's owner drives it from a fixed-interval engine event. After
+// Finish it does nothing.
 func (r *Registry) Sample(nowMS float64) {
-	if r == nil {
+	if r == nil || r.finished {
 		return
 	}
 	r.samples++
 	for _, fn := range r.samplers {
 		fn(nowMS)
 	}
+}
+
+// Finish ends the run's sampling: it takes the last sample at nowMS,
+// exactly as Sample does, and then drops the samplers. Samplers read live
+// simulator state, so a registry that kept them would keep the whole
+// simulator reachable for as long as anything holds the run's result; a
+// finished registry holds only data.
+func (r *Registry) Finish(nowMS float64) {
+	if r == nil {
+		return
+	}
+	r.Sample(nowMS)
+	r.samplers = nil
+	r.finished = true
 }
 
 // Samples returns how many Sample calls have run.

@@ -47,6 +47,7 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	// Every operation on a nil registry or nil handle must be a no-op.
 	r.SetLabel("k", "v")
 	r.Sample(0)
+	r.Finish(0)
 	r.RegisterSampler(func(float64) { t.Fatal("sampler ran on nil registry") })
 	c := r.Counter("c")
 	c.Inc()
@@ -115,6 +116,27 @@ func TestSamplingAndTimelineFunc(t *testing.T) {
 	}
 	if r.Samples() != 2 {
 		t.Fatalf("samples = %d", r.Samples())
+	}
+}
+
+// TestFinishTakesLastSampleAndStops: Finish samples once more, exactly
+// as Sample does; afterwards no Sample or Finish runs a sampler, appends
+// a point or counts a sample.
+func TestFinishTakesLastSampleAndStops(t *testing.T) {
+	r := New(0)
+	calls := 0
+	tl := r.TimelineFunc("series", func() float64 { calls++; return float64(calls) })
+	r.Sample(1000)
+	r.Finish(1500)
+	want := []Point{{1000, 1}, {1500, 2}}
+	if pts := tl.Points(); len(pts) != 2 || pts[0] != want[0] || pts[1] != want[1] {
+		t.Fatalf("points = %+v, want %+v", pts, want)
+	}
+	r.Sample(2000)
+	r.Finish(2500)
+	if calls != 2 || len(tl.Points()) != 2 || r.Samples() != 2 {
+		t.Fatalf("after Finish: %d sampler calls, %d points, %d samples; want 2, 2, 2",
+			calls, len(tl.Points()), r.Samples())
 	}
 }
 

@@ -36,8 +36,11 @@ type run struct {
 	disposition string
 	followers   int64
 
-	// cancel aborts the run's context: queued runs fail admission,
-	// in-flight simulations stop at the next Config.Cancel poll.
+	// ctx is the run's context, a child of the server's; cancel aborts it:
+	// queued runs fail admission, in-flight simulations stop at the next
+	// Config.Cancel poll. finalize calls cancel too, so a finished run
+	// leaves nothing registered under the server's context.
+	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -83,7 +84,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server owns the admission queue, the run store, and the pool that
+// keepFinished bounds the run table: once it holds more finished runs
+// than this, it forgets the one that finished longest ago, so a server's
+// memory does not grow with the number of runs it has served. Queued and
+// running runs are always kept.
+const keepFinished = 1024
+
+// Server owns the admission queue, the run table, and the pool that
 // executes simulations. Create with New, mount Handler on an
 // http.Server, and Drain on shutdown.
 type Server struct {
@@ -102,12 +109,16 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu       sync.Mutex
-	runs     map[string]*run
-	order    []string // submission order, for GET /v1/runs
-	queued   int      // admitted, waiting for a slot
-	seq      int
-	draining bool
+	mu   sync.Mutex
+	runs map[string]*run
+	// finished holds the ids of the finished runs still in runs, as a
+	// ring in finish order; nextFinished is the slot the next one takes,
+	// and the id it holds is the run to forget.
+	finished     [keepFinished]string
+	nextFinished int
+	queued       int // admitted, waiting for a slot
+	seq          int
+	draining     bool
 }
 
 // New returns a ready Server. The pool (and its Spec.Key() result cache)
@@ -248,18 +259,18 @@ func (s *Server) admit(sp runner.Spec, timeout time.Duration) (*run, error) {
 		spec:   sp,
 		state:  StateQueued,
 		seq:    s.seq,
+		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
 	s.runs[id] = rn
-	s.order = append(s.order, id)
 	s.queued++
 	queued := s.queued
 	s.wg.Add(1)
 	s.mu.Unlock()
 	s.obs.setQueueDepth(queued)
 	s.obs.countAdmitted()
-	go s.execute(rn, ctx)
+	go s.execute(rn)
 	return rn, nil
 }
 
@@ -267,15 +278,15 @@ func (s *Server) admit(sp runner.Spec, timeout time.Duration) (*run, error) {
 // slot (or cancellation), simulate through the pool — which serves
 // cache hits for Specs already run and coalesces concurrent duplicates —
 // and publish the result.
-func (s *Server) execute(rn *run, ctx context.Context) {
+func (s *Server) execute(rn *run) {
 	defer s.wg.Done()
 	queuedAt := time.Now()
 	select {
 	case s.slots <- struct{}{}:
-	case <-ctx.Done():
+	case <-rn.ctx.Done():
 		// Canceled (or timed out, or drain deadline) while still queued.
 		s.leaveQueue(rn)
-		s.finalize(rn, runner.Result{Spec: rn.spec, Err: ctx.Err()})
+		s.finalize(rn, runner.Result{Spec: rn.spec, Err: rn.ctx.Err()})
 		return
 	}
 	s.obs.addInFlight(1)
@@ -295,7 +306,7 @@ func (s *Server) execute(rn *run, ctx context.Context) {
 	s.mu.Unlock()
 
 	runStart := time.Now()
-	results, _ := s.pool.Run(ctx, []runner.Spec{rn.spec})
+	results, _ := s.pool.Run(rn.ctx, []runner.Spec{rn.spec})
 	runWall := time.Since(runStart)
 	s.obs.observePhase(phaseRun, float64(runWall)/float64(time.Millisecond))
 	s.mu.Lock()
@@ -314,7 +325,10 @@ func (s *Server) leaveQueue(rn *run) {
 	s.mu.Unlock()
 }
 
-// finalize records the terminal state and wakes every waiter.
+// finalize records the terminal state, enters the run in the finished
+// ring (forgetting the run that finished longest ago once the ring is
+// full), releases the run's context and with it any -run-timeout timer,
+// and wakes every waiter.
 func (s *Server) finalize(rn *run, res runner.Result) {
 	state := StateDone
 	var result *RunResult
@@ -339,8 +353,14 @@ func (s *Server) finalize(rn *run, res runner.Result) {
 	rn.encodeMS = encodeMS
 	rn.cached, rn.coalesced, rn.followers = res.Cached, res.Coalesced, res.Followers
 	rn.diskHit, rn.disposition = res.DiskHit, disposition(res)
+	if old := s.finished[s.nextFinished]; old != "" {
+		delete(s.runs, old)
+	}
+	s.finished[s.nextFinished] = rn.id
+	s.nextFinished = (s.nextFinished + 1) % keepFinished
 	s.mu.Unlock()
 	s.obs.countFinished(state, res)
+	rn.cancel()
 	close(rn.done)
 }
 
@@ -387,7 +407,8 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*run, bool) {
 	rn, ok := s.runs[id]
 	s.mu.Unlock()
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no run %q", id))
+		s.writeError(w, http.StatusNotFound,
+			fmt.Errorf("no run %q (finished runs beyond the newest %d are not kept)", id, keepFinished))
 		return nil, false
 	}
 	return rn, true
@@ -406,8 +427,7 @@ func (s *Server) queuePositionLocked(rn *run) int {
 		return 0
 	}
 	pos := 1
-	for _, id := range s.order {
-		other := s.runs[id]
+	for _, other := range s.runs {
 		if other.state == StateQueued && other.seq < rn.seq {
 			pos++
 		}
@@ -423,12 +443,18 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.snapshot(rn))
 }
 
+// handleList is GET /v1/runs: every run the table holds, in admission
+// order.
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	out := make([]RunStatus, 0, len(s.order))
-	for _, id := range s.order {
-		rn := s.runs[id]
-		out = append(out, rn.status(s.queuePositionLocked(rn)))
+	runs := make([]*run, 0, len(s.runs))
+	for _, rn := range s.runs {
+		runs = append(runs, rn)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].seq < runs[j].seq })
+	out := make([]RunStatus, len(runs))
+	for i, rn := range runs {
+		out[i] = rn.status(s.queuePositionLocked(rn))
 	}
 	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, out)

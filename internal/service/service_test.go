@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -303,6 +305,112 @@ func TestRequestTimeoutCancelsRun(t *testing.T) {
 	}
 	if st.State != StateCanceled {
 		t.Errorf("state = %q (err %q), want canceled", st.State, st.Error)
+	}
+}
+
+// TestFinishedRunReleasesContext: a run's context is canceled once the
+// run reaches a terminal state, so a finished run leaves no child
+// registered under the server's context and no -run-timeout timer armed.
+func TestFinishedRunReleasesContext(t *testing.T) {
+	s, c := newTestServer(t, Options{Jobs: 1, RunTimeout: time.Hour})
+	st, err := c.SubmitWait(context.Background(), shortReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("state = %q (err %q), want done", st.State, st.Error)
+	}
+	s.mu.Lock()
+	rn := s.runs[st.ID]
+	s.mu.Unlock()
+	if err := rn.ctx.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("the finished run's context has error %v, want context.Canceled", err)
+	}
+}
+
+// TestRunTableKeepsNewestFinished: the run table keeps the keepFinished
+// runs that finished last and forgets older finished runs, whose ids
+// then answer 404 on every endpoint, saying why; queued and running runs
+// stay listed however old they are.
+func TestRunTableKeepsNewestFinished(t *testing.T) {
+	// Without per-run metrics a memory hit renders no bundle, which keeps
+	// the thousand submissions below quick.
+	s, c := newTestServer(t, Options{Jobs: 2, MetricsIntervalMS: -1})
+	ctx := context.Background()
+	// A run admitted before every finished one, running in one slot.
+	oldest, err := c.Submit(ctx, longReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, c, oldest.ID, StateRunning)
+	// More finished runs than the table keeps, through the other slot;
+	// all but the first are memory hits.
+	done := make([]string, keepFinished+40)
+	for i := range done {
+		st, err := c.SubmitWait(ctx, shortReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone {
+			t.Fatalf("run %d: state %q (err %q), want done", i, st.State, st.Error)
+		}
+		done[i] = st.ID
+	}
+	// Fill the second slot, then queue one more run behind both.
+	running, err := c.Submit(ctx, longReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, c, running.ID, StateRunning)
+	queued, err := c.Submit(ctx, longReq(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, c, queued.ID, StateQueued)
+
+	runs, err := c.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var finished []string
+	states := map[string]string{}
+	for _, st := range runs {
+		states[st.ID] = st.State
+		if st.State == StateDone {
+			finished = append(finished, st.ID)
+		}
+	}
+	if want := done[len(done)-keepFinished:]; !slices.Equal(finished, want) {
+		t.Errorf("GET /v1/runs lists %d finished runs, want the newest %d (%s to %s)",
+			len(finished), keepFinished, want[0], want[len(want)-1])
+	}
+	for id, want := range map[string]string{oldest.ID: StateRunning, running.ID: StateRunning, queued.ID: StateQueued} {
+		if states[id] != want {
+			t.Errorf("run %s is listed as %q, want %q", id, states[id], want)
+		}
+	}
+	s.mu.Lock()
+	size := len(s.runs)
+	s.mu.Unlock()
+	if size != keepFinished+3 {
+		t.Errorf("the run table holds %d runs, want %d", size, keepFinished+3)
+	}
+
+	forgotten := done[len(done)-keepFinished-1]
+	why := fmt.Sprintf("finished runs beyond the newest %d are not kept", keepFinished)
+	for name, call := range map[string]func() error{
+		"GET":    func() error { _, err := c.Status(ctx, forgotten); return err },
+		"DELETE": func() error { _, err := c.Cancel(ctx, forgotten); return err },
+		"events": func() error { return c.Stream(ctx, forgotten, func(Event) bool { return false }) },
+	} {
+		var apiErr *APIError
+		if err := call(); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound ||
+			!strings.Contains(apiErr.Message, why) {
+			t.Errorf("%s on forgotten run %s: err = %v, want 404 saying %q", name, forgotten, err, why)
+		}
+	}
+	if _, err := c.Status(ctx, done[len(done)-keepFinished]); err != nil {
+		t.Errorf("the oldest kept finished run: %v", err)
 	}
 }
 

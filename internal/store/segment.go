@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // Record layout (little-endian), append-only:
@@ -44,31 +45,74 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // paths can classify damage uniformly.
 var errCorrupt = errors.New("store: corrupt record")
 
+// Reusable gzip state: a new compressor allocates about 0.8 MB and a new
+// decompressor about 40 KB, and the store needed one per Put and per
+// record read. Each Get has exclusive use of its value until the
+// matching Put, and every use starts with Reset, which leaves the state
+// as NewWriter (or NewReader) would: records stay byte-identical.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+	inflaters   = sync.Pool{New: func() any { return new(inflater) }}
+)
+
+// deflate compresses payload with zw, which it Resets first.
+func deflate(zw *gzip.Writer, payload []byte) ([]byte, error) {
+	var comp bytes.Buffer
+	zw.Reset(&comp)
+	if _, err := zw.Write(payload); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return comp.Bytes(), nil
+}
+
+// inflater is a reusable gzip decoder with the reader it decodes from.
+type inflater struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+// inflate decompresses one stored payload. The decoder is Reset first, so
+// one that failed on a corrupt record decodes the next record cleanly,
+// and it lets go of stored before returning.
+func (in *inflater) inflate(stored []byte) ([]byte, error) {
+	in.src.Reset(stored)
+	defer in.src.Reset(nil)
+	if err := in.zr.Reset(&in.src); err != nil {
+		return nil, err
+	}
+	payload, err := io.ReadAll(io.LimitReader(&in.zr, maxPayloadLen+1))
+	if cerr := in.zr.Close(); err == nil {
+		err = cerr
+	}
+	return payload, err
+}
+
 // encodeRecord renders one key/payload pair as a checksummed record,
 // compressing the payload.
 func encodeRecord(key string, payload []byte) ([]byte, error) {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return nil, fmt.Errorf("store: key length %d out of range (1..%d)", len(key), maxKeyLen)
 	}
-	var comp bytes.Buffer
-	zw := gzip.NewWriter(&comp)
-	if _, err := zw.Write(payload); err != nil {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	comp, err := deflate(zw, payload)
+	gzipWriters.Put(zw)
+	if err != nil {
 		return nil, fmt.Errorf("store: compress: %w", err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("store: compress: %w", err)
+	if len(comp) > maxPayloadLen {
+		return nil, fmt.Errorf("store: payload %d bytes exceeds the %d-byte record limit", len(comp), maxPayloadLen)
 	}
-	if comp.Len() > maxPayloadLen {
-		return nil, fmt.Errorf("store: payload %d bytes exceeds the %d-byte record limit", comp.Len(), maxPayloadLen)
-	}
-	rec := make([]byte, recordHeaderSize+len(key)+comp.Len())
+	rec := make([]byte, recordHeaderSize+len(key)+len(comp))
 	copy(rec[0:4], recordMagic)
 	rec[8] = recordVersion
 	rec[9] = flagGzip
 	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[16:20], uint32(comp.Len()))
+	binary.LittleEndian.PutUint32(rec[16:20], uint32(len(comp)))
 	copy(rec[recordHeaderSize:], key)
-	copy(rec[recordHeaderSize+len(key):], comp.Bytes())
+	copy(rec[recordHeaderSize+len(key):], comp)
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
 	return rec, nil
 }
@@ -108,14 +152,9 @@ func decodeRecord(rec []byte) (key string, payload []byte, err error) {
 	if rec[9]&flagGzip == 0 {
 		return key, append([]byte(nil), stored...), nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(stored))
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	payload, err = io.ReadAll(io.LimitReader(zr, maxPayloadLen+1))
-	if cerr := zr.Close(); err == nil {
-		err = cerr
-	}
+	in := inflaters.Get().(*inflater)
+	payload, err = in.inflate(stored)
+	inflaters.Put(in)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", errCorrupt, err)
 	}

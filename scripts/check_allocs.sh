@@ -5,6 +5,8 @@
 # at zero, which is what keeps the simulator hot loop allocation-free, and
 # so are the free-space maps' steady-size cycles and the allocation
 # policies' grow/truncate cycles. File creation (fs) is budgeted at one.
+# allocs/op is a mean floored to an integer, so 0.99 allocations per op
+# print as 0: a row budgeted at zero must also print 0 B/op.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -18,19 +20,24 @@ fail=0
 while read -r name max; do
 	case "$name" in '' | '#'*) continue ;; esac
 	# Benchmark lines: name [-GOMAXPROCS]  N  x ns/op  y B/op  z allocs/op
-	got=$(echo "$out" | awk -v n="$name" \
-		'$1 ~ ("^" n "(-[0-9]+)?$") && $NF == "allocs/op" {print $(NF-1)}' |
-		sort -nr | head -1)
-	if [ -z "$got" ]; then
+	row=$(echo "$out" | awk -v n="$name" \
+		'$1 ~ ("^" n "(-[0-9]+)?$") && $NF == "allocs/op" {print $(NF-1), $(NF-3)}' |
+		sort -k1,1nr -k2,2nr | head -1)
+	if [ -z "$row" ]; then
 		echo "check_allocs: benchmark $name did not run" >&2
 		fail=1
 		continue
 	fi
+	got=${row% *}
+	bytes=${row#* }
 	if [ "$got" -gt "$max" ]; then
 		echo "check_allocs: FAIL $name: $got allocs/op exceeds budget $max" >&2
 		fail=1
+	elif [ "$max" -eq 0 ] && [ "$bytes" -gt 0 ]; then
+		echo "check_allocs: FAIL $name: $bytes B/op at a budget of 0 allocs/op" >&2
+		fail=1
 	else
-		echo "check_allocs: ok   $name: $got allocs/op (budget $max)"
+		echo "check_allocs: ok   $name: $got allocs/op, $bytes B/op (budget $max)"
 	fi
 done <"$budget"
 
