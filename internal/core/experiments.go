@@ -203,7 +203,7 @@ func (s *Instance) perf() (PerfResult, error) {
 		s.kind = applicationTest
 		s.startTracker()
 		s.scheduleUsers()
-		s.eng.Run(s.cfg.MaxSimMS)
+		s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
 		s.kind = sequentialTest
 		s.startTracker()
 	} else {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -68,5 +69,17 @@ func TestPoolMetricsEndToEnd(t *testing.T) {
 	// populated it.
 	if !results[2].Cached || results[2].Outcome.Metrics != results[0].Outcome.Metrics {
 		t.Fatal("cached result did not reuse the original run's registry")
+	}
+	// The bundle is rendered once, when the run finishes: MetricsJSON is
+	// the registry's rendering, and the cached result shares its bytes.
+	var buf bytes.Buffer
+	if err := results[0].Outcome.Metrics.Write(&buf, metrics.JSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(results[0].MetricsJSON, buf.Bytes()) {
+		t.Fatal("MetricsJSON is not the registry's bundle")
+	}
+	if &results[2].MetricsJSON[0] != &results[0].MetricsJSON[0] {
+		t.Fatal("the cached result carries its own copy of the bundle")
 	}
 }

@@ -41,10 +41,11 @@ type Result struct {
 	// store (a prior process computed it) rather than simulated or found
 	// in memory.
 	DiskHit bool
-	// MetricsJSON is the run's canonical rofs-metrics/v1 bundle bytes
-	// when the result came through the disk store (the live registry
-	// belongs to the process that simulated). Nil for freshly simulated
-	// results, whose bundle lives on Outcome.Metrics.
+	// MetricsJSON is the run's canonical rofs-metrics/v1 bundle bytes,
+	// rendered once when the run finished, or read from the disk store
+	// (where the live registry belongs to the process that simulated).
+	// Every result served from one cache entry shares the slice, so
+	// callers must not modify it. Nil when the run had metrics off.
 	MetricsJSON []byte
 }
 
@@ -223,7 +224,7 @@ type cacheEntry struct {
 	wall      time.Duration
 	followers int64
 	diskHit   bool   // populated from the disk store, not a simulation
-	metrics   []byte // raw bundle bytes for disk-populated entries
+	metrics   []byte // the run's rendered bundle (Result.MetricsJSON)
 	bytes     int64  // envelope size, the entry's CacheBytes share
 	elem      *list.Element
 }
@@ -403,12 +404,12 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 		errors.Is(err, context.DeadlineExceeded))
 
 	// Encode the envelope once: it is both the write-through payload and
-	// the entry's byte footprint. Encoding failures degrade to a served
-	// but unstored result.
-	var envelope []byte
+	// the entry's byte footprint, and its bundle serves every response.
+	// Encoding failures degrade to a served but unstored result.
+	var envelope, bundle []byte
 	if err == nil {
 		var eerr error
-		if envelope, eerr = encodeStored(out, wall); eerr != nil {
+		if envelope, bundle, eerr = encodeStored(out, wall); eerr != nil {
 			p.statsMu.Lock()
 			p.stats.StoreErrors++
 			p.statsMu.Unlock()
@@ -424,7 +425,7 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 
 	p.mu.Lock()
 	e.outcome, e.err, e.wall = out, err, wall
-	e.bytes = int64(len(envelope))
+	e.metrics, e.bytes = bundle, int64(len(envelope))
 	res.Followers = e.followers
 	if canceled {
 		// A canceled run is not a result: drop it so a later batch with a
@@ -436,6 +437,7 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 	p.mu.Unlock()
 	close(e.done)
 	res.Outcome, res.Err, res.Wall = out, err, wall
+	res.MetricsJSON = bundle
 	return res
 }
 

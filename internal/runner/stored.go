@@ -30,13 +30,25 @@ type storedResult struct {
 	Metrics json.RawMessage     `json:"metrics,omitempty"`
 }
 
-// encodeStored renders a finished outcome as the store envelope.
-func encodeStored(out core.Outcome, wall time.Duration) ([]byte, error) {
+// encodeStored renders a finished outcome as the store envelope. It
+// also returns the metrics bundle it rendered for the envelope (nil when
+// the run had metrics off): every response for the run serves those
+// bytes, so a bundle is rendered once. A bundle that rendered comes back
+// even when the envelope fails to encode.
+func encodeStored(out core.Outcome, wall time.Duration) (envelope, bundle []byte, err error) {
+	if out.Metrics != nil {
+		var buf bytes.Buffer
+		if err := out.Metrics.Write(&buf, metrics.JSON); err != nil {
+			return nil, nil, fmt.Errorf("runner: encode metrics bundle: %w", err)
+		}
+		bundle = buf.Bytes()
+	}
 	env := storedResult{
-		Schema: storedSchema,
-		Kind:   out.Kind.String(),
-		Stats:  out.Stats,
-		WallNS: int64(wall),
+		Schema:  storedSchema,
+		Kind:    out.Kind.String(),
+		Stats:   out.Stats,
+		WallNS:  int64(wall),
+		Metrics: bundle,
 	}
 	switch out.Kind {
 	case core.Allocation:
@@ -52,16 +64,10 @@ func encodeStored(out core.Outcome, wall time.Duration) ([]byte, error) {
 		a := out.Aging
 		env.Aging = &a
 	default:
-		return nil, fmt.Errorf("runner: cannot store outcome of kind %v", out.Kind)
+		return nil, bundle, fmt.Errorf("runner: cannot store outcome of kind %v", out.Kind)
 	}
-	if out.Metrics != nil {
-		var buf bytes.Buffer
-		if err := out.Metrics.Write(&buf, metrics.JSON); err != nil {
-			return nil, fmt.Errorf("runner: encode metrics bundle: %w", err)
-		}
-		env.Metrics = buf.Bytes()
-	}
-	return json.Marshal(env)
+	envelope, err = json.Marshal(env)
+	return envelope, bundle, err
 }
 
 // decodeStored parses a store envelope back into the outcome for sp,

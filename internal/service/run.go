@@ -1,13 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"fmt"
+	"errors"
 	"time"
 
 	"rofs/internal/core"
-	"rofs/internal/metrics"
 	"rofs/internal/runner"
 )
 
@@ -73,12 +71,12 @@ func disposition(res runner.Result) string {
 	}
 }
 
-// newRunResult converts a pool Result into the wire payload, rendering
-// the metrics registry (if any) as its canonical JSON bundle. It is the
+// newRunResult converts a pool Result into the wire payload. It is the
 // single encoding path for HTTP responses, SSE events, and the
-// byte-identical end-to-end test. Disk-served results carry the original
-// run's bundle bytes verbatim on MetricsJSON — the registry belongs to
-// the process that simulated — so live and disk paths encode identically.
+// byte-identical end-to-end test. The metrics bundle is the pool's
+// MetricsJSON, rendered once when the run finished or read from the
+// disk store, so live and disk paths encode identically and every
+// response for one run shares its bytes.
 func newRunResult(res runner.Result) (*RunResult, error) {
 	out := &RunResult{
 		Test:        res.Spec.Kind.String(),
@@ -89,6 +87,11 @@ func newRunResult(res runner.Result) (*RunResult, error) {
 		DiskHit:     res.DiskHit,
 		Disposition: disposition(res),
 		Followers:   res.Followers,
+		Metrics:     res.MetricsJSON,
+	}
+	if res.Outcome.Metrics != nil && len(res.MetricsJSON) == 0 {
+		// The pool counted the failed render as a store error.
+		return nil, errors.New("encode metrics bundle: the run's bundle did not render")
 	}
 	switch res.Spec.Kind {
 	case core.Allocation, core.AllocationRealloc:
@@ -100,16 +103,6 @@ func newRunResult(res runner.Result) (*RunResult, error) {
 	default:
 		perf := res.Outcome.Perf
 		out.Perf = &perf
-	}
-	switch {
-	case len(res.MetricsJSON) > 0:
-		out.Metrics = res.MetricsJSON
-	case res.Outcome.Metrics != nil:
-		var buf bytes.Buffer
-		if err := res.Outcome.Metrics.Write(&buf, metrics.JSON); err != nil {
-			return nil, fmt.Errorf("encode metrics bundle: %w", err)
-		}
-		out.Metrics = buf.Bytes()
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,10 +14,12 @@ import (
 // now to reclaim dead space. We use the simplest profitable policy —
 // trigger when at least half the store's footprint is dead (and above a
 // small floor, so tiny stores never churn), pick every sealed segment
-// whose own dead ratio clears a quarter, copy its live records verbatim
-// to the active segment, and delete it. Record bytes never change, so
-// checksums survive the copy and a crash mid-compaction at worst leaves
-// both copies (the scan's supersede rule keeps the newer one).
+// whose own dead ratio clears a quarter, check each of its live records
+// and copy it verbatim to the active segment, and delete it. Record
+// bytes never change, so checksums survive the copy and a crash
+// mid-compaction at worst leaves both copies (the scan's supersede rule
+// keeps the newer one). A record that fails its check is dropped, not
+// copied.
 
 // compactMinDeadBytes is the floor below which compaction never runs.
 const compactMinDeadBytes = 64 << 10
@@ -117,9 +120,19 @@ func (s *Store) mergeSegmentLocked(seg *segment) error {
 	sort.Slice(live, func(i, j int) bool { return live[i].off < live[j].off })
 	dead := seg.size - seg.live // the store-level dead bytes this merge reclaims
 	for _, e := range live {
-		rec := make([]byte, e.size)
-		if _, err := seg.f.ReadAt(rec, e.off); err != nil {
-			return fmt.Errorf("store: compact read %s@%d: %w", segName(seg.id), e.off, err)
+		rec, err := readChecked(seg.f, e)
+		if errors.Is(err, errCorrupt) {
+			// Damaged since Open. Copied, it would sit in the active
+			// segment until the next Open quarantined it together with
+			// every record appended after it; dropped, it costs only
+			// itself. It counts as the GetError a Get would have found.
+			s.dropLocked(e)
+			s.stats.GetErrors++
+			dead += e.size
+			continue
+		}
+		if err != nil {
+			return err
 		}
 		dst, off, err := s.copyRecordLocked(seg, rec)
 		if err != nil {

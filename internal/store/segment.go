@@ -26,8 +26,8 @@ import (
 //
 // The checksum covers the version, flags, lengths, key, and payload, so
 // a torn write anywhere in the record — header included — fails
-// verification. Compaction copies whole records verbatim; the checksum
-// stays valid because the covered bytes never change.
+// verification. Compaction checks each record and copies it verbatim;
+// the checksum stays valid because the covered bytes never change.
 const (
 	recordMagic      = "RFS1"
 	recordVersion    = 1
@@ -134,93 +134,100 @@ func parseHeader(buf []byte) (keyLen, payloadLen int, err error) {
 	return keyLen, payloadLen, nil
 }
 
-// decodeRecord verifies the checksum of one complete record and returns
-// its key and decompressed payload.
-func decodeRecord(rec []byte) (key string, payload []byte, err error) {
-	keyLen, payloadLen, err := parseHeader(rec)
+// checkRecord verifies the record at the start of buf, which may run on
+// past it: magic, version, lengths, and the checksum over everything
+// after the checksum field. It returns the record's key and length and
+// leaves the payload compressed; decodeRecord inflates it.
+func checkRecord(buf []byte) (key string, n int, err error) {
+	if len(buf) < recordHeaderSize {
+		return "", 0, fmt.Errorf("%w: truncated header", errCorrupt)
+	}
+	keyLen, payloadLen, err := parseHeader(buf)
 	if err != nil {
-		return "", nil, err
+		return "", 0, err
 	}
-	if len(rec) != recordHeaderSize+keyLen+payloadLen {
-		return "", nil, fmt.Errorf("%w: record size mismatch", errCorrupt)
+	n = recordHeaderSize + keyLen + payloadLen
+	if n > len(buf) {
+		return "", 0, fmt.Errorf("%w: truncated record", errCorrupt)
 	}
-	if got := crc32.Checksum(rec[8:], castagnoli); got != binary.LittleEndian.Uint32(rec[4:8]) {
-		return "", nil, fmt.Errorf("%w: checksum mismatch", errCorrupt)
+	if got := crc32.Checksum(buf[8:n], castagnoli); got != binary.LittleEndian.Uint32(buf[4:8]) {
+		return "", 0, fmt.Errorf("%w: checksum mismatch", errCorrupt)
 	}
-	key = string(rec[recordHeaderSize : recordHeaderSize+keyLen])
-	stored := rec[recordHeaderSize+keyLen:]
-	if rec[9]&flagGzip == 0 {
-		return key, append([]byte(nil), stored...), nil
-	}
-	in := inflaters.Get().(*inflater)
-	payload, err = in.inflate(stored)
-	inflaters.Put(in)
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", errCorrupt, err)
-	}
-	return key, payload, nil
+	return string(buf[recordHeaderSize : recordHeaderSize+keyLen]), n, nil
 }
 
-// readRecord reads and decodes e's record from its segment, verifying
-// the checksum end to end. Caller holds s.mu.
+// decodeRecord returns the payload of a record that checkRecord
+// accepted, decompressing it.
+func decodeRecord(rec []byte) ([]byte, error) {
+	stored := rec[recordHeaderSize+int(binary.LittleEndian.Uint32(rec[12:16])):]
+	if rec[9]&flagGzip == 0 {
+		return append([]byte(nil), stored...), nil
+	}
+	in := inflaters.Get().(*inflater)
+	payload, err := in.inflate(stored)
+	inflaters.Put(in)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errCorrupt, err)
+	}
+	return payload, nil
+}
+
+// readChecked reads e's record from f and checks that it is intact and
+// still e's. Damage, as opposed to a failed read, wraps errCorrupt.
+func readChecked(f *os.File, e *entry) ([]byte, error) {
+	rec := make([]byte, e.size)
+	if _, err := f.ReadAt(rec, e.off); err != nil {
+		return nil, fmt.Errorf("store: read %s@%d: %w", segName(e.seg), e.off, err)
+	}
+	key, n, err := checkRecord(rec)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(rec) || key != e.key {
+		return nil, fmt.Errorf("%w: %s@%d holds another record", errCorrupt, segName(e.seg), e.off)
+	}
+	return rec, nil
+}
+
+// readRecord reads, checks and decodes e's record. Caller holds s.mu.
 func (s *Store) readRecord(e *entry) ([]byte, error) {
 	seg, ok := s.segs[e.seg]
 	if !ok || seg.f == nil {
 		return nil, fmt.Errorf("store: segment %d gone", e.seg)
 	}
-	rec := make([]byte, e.size)
-	if _, err := seg.f.ReadAt(rec, e.off); err != nil {
-		return nil, fmt.Errorf("store: read %s@%d: %w", segName(e.seg), e.off, err)
-	}
-	key, payload, err := decodeRecord(rec)
+	rec, err := readChecked(seg.f, e)
 	if err != nil {
 		return nil, err
 	}
-	if key != e.key {
-		return nil, fmt.Errorf("%w: key mismatch at %s@%d", errCorrupt, segName(e.seg), e.off)
-	}
-	return payload, nil
+	return decodeRecord(rec)
 }
 
-// scanSegment replays one segment into the index. The first integrity
-// failure — bad magic, implausible lengths, checksum mismatch, or a
-// record extending past the end of the file — quarantines the rest of
-// the segment: the damaged bytes are copied to a .quarantined sidecar,
-// the segment is truncated back to its last good record, and the scan
-// moves on. A kill mid-write therefore costs at most the torn tail.
+// scanSegment replays one segment into the index. It checks every
+// record but decodes none: Get decodes, and fails a payload that does
+// not inflate. The first integrity failure — bad magic, implausible
+// lengths, checksum mismatch, or a record extending past the end of the
+// file — quarantines the rest of the segment: the damaged bytes are
+// copied to a .quarantined sidecar, the segment is truncated back to its
+// last good record, and the scan moves on. A kill mid-write therefore
+// costs at most the torn tail.
 func (s *Store) scanSegment(id int) error {
 	path := filepath.Join(s.dir, segName(id))
+	// os.ReadFile sizes its buffer from Stat: one read, no regrowth.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("store: scan %s: %w", segName(id), err)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: scan %s: %w", segName(id), err)
 	}
 	seg := &segment{id: id, f: f}
 	s.segs[id] = seg
 
 	off := 0
 	for off < len(data) {
-		rest := data[off:]
-		var keyLen, payloadLen int
-		var herr error
-		if len(rest) < recordHeaderSize {
-			herr = fmt.Errorf("%w: truncated header", errCorrupt)
-		} else {
-			keyLen, payloadLen, herr = parseHeader(rest)
-		}
-		recLen := recordHeaderSize + keyLen + payloadLen
-		if herr == nil && recLen > len(rest) {
-			herr = fmt.Errorf("%w: truncated record", errCorrupt)
-		}
-		var key string
-		if herr == nil {
-			key, _, herr = decodeRecord(rest[:recLen])
-		}
-		if herr != nil {
+		key, recLen, err := checkRecord(data[off:])
+		if err != nil {
 			if qerr := s.quarantineTail(seg, data, off); qerr != nil {
 				return qerr
 			}

@@ -12,6 +12,12 @@
 // or torn tail. Open detects it by checksum, copies the damaged bytes to
 // a .quarantined sidecar, truncates the segment back to its last good
 // record, and keeps serving everything before the tear.
+//
+// Open checks every record's checksum and decompresses none, so it costs
+// one read and one checksum per stored byte. Get checks its record again
+// before it decompresses, so no payload is served unchecked; one that
+// passes its checksum yet does not inflate is a miss. Compaction checks
+// each record before it copies it and drops one damaged since Open.
 package store
 
 import (
@@ -65,7 +71,7 @@ type Stats struct {
 	Evictions            int64
 	Compactions          int64
 	Quarantined          int64 // damaged tails quarantined by Open
-	GetErrors, PutErrors int64
+	GetErrors, PutErrors int64 // failed reads (a Get's or a compaction's), failed writes
 }
 
 // entry locates one live record.

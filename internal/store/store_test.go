@@ -264,9 +264,13 @@ func TestEmptyDirAndRecordEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeRecord: %v", err)
 	}
-	key, payload, err := decodeRecord(rec)
-	if err != nil || key != "k" || string(payload) != "hello" {
-		t.Fatalf("decodeRecord = %q, %q, %v", key, payload, err)
+	key, n, err := checkRecord(rec)
+	if err != nil || key != "k" || n != len(rec) {
+		t.Fatalf("checkRecord = %q, %d, %v; want k, %d", key, n, err, len(rec))
+	}
+	payload, err := decodeRecord(rec)
+	if err != nil || string(payload) != "hello" {
+		t.Fatalf("decodeRecord = %q, %v", payload, err)
 	}
 }
 
