@@ -91,3 +91,131 @@ func BenchmarkServiceMS(b *testing.B) {
 		now += d.serviceMS(now, &seg)
 	}
 }
+
+// TestServiceMSClosedForm checks a transfer that starts mid-track and
+// crosses two cylinder boundaries against the model's closed form. From
+// an idle head on another cylinder at time 0: a seek, a rotational wait
+// to the start offset, the bytes at one track per rotation, and at each
+// crossing a single-track seek whose realignment rounds it up to a whole
+// rotation (ST + SI < R, and the head left the previous track at offset
+// 0).
+func TestServiceMSClosedForm(t *testing.T) {
+	g := WrenIV()
+	bpt := g.BytesPerTrack
+	const cyl, track, inTrack = 700, 6, 5000
+	start := cyl*g.CylinderBytes() + track*bpt + inTrack
+	// Three tracks to the end of cylinder 700, all nine of 701, four of
+	// 702 and 300 bytes of a fifth: two crossings.
+	n := (int64(g.TracksPerCylinder-track))*bpt - inTrack + 9*bpt + 4*bpt + 300
+	d := &drive{geom: g, headCyl: 200}
+	seg := segment{start: start, n: n}
+	got := d.serviceMS(0, &seg)
+
+	R := g.RotationMS
+	seek0 := g.SeekMS(cyl - 200)
+	rot0 := math.Mod(float64(inTrack)/float64(bpt)*R-seek0, R)
+	if rot0 < 0 {
+		rot0 += R
+	}
+	xfer := float64(n) / float64(bpt) * R
+	cross := g.SeekMS(1)
+	want := seek0 + rot0 + xfer + 2*R
+	if math.Abs(got-want) > 1e-9 {
+		t.Fatalf("serviceMS = %.12f, closed form %.12f", got, want)
+	}
+	bd := d.lastBD
+	if math.Abs(bd.seekMS-(seek0+2*cross)) > 1e-9 ||
+		math.Abs(bd.rotMS-(rot0+2*(R-cross))) > 1e-9 ||
+		math.Abs(bd.xferMS-xfer) > 1e-9 {
+		t.Fatalf("breakdown %+v, want seek %.9f rot %.9f xfer %.9f",
+			bd, seek0+2*cross, rot0+2*(R-cross), xfer)
+	}
+	if d.headCyl != cyl+2 || d.seeks != 3 {
+		t.Fatalf("head on cylinder %d after %d seeks, want %d after 3", d.headCyl, d.seeks, cyl+2)
+	}
+}
+
+// refServiceMS is the track walk written with a division per track: the
+// form serviceMS must reproduce bit for bit.
+func refServiceMS(d *drive, start float64, seg *segment) float64 {
+	g := d.geom
+	cylOf := func(off int64) int { return int(off/g.BytesPerTrack) / g.TracksPerCylinder }
+	t := start
+	var bd breakdown
+	if cyl := cylOf(seg.start); cyl != d.headCyl {
+		s := g.SeekMS(cyl - d.headCyl)
+		t += s
+		bd.seekMS += s
+		d.headCyl = cyl
+	}
+	for pos, remaining := seg.start, seg.n; remaining > 0; {
+		inTrack := pos % g.BytesPerTrack
+		chunk := g.BytesPerTrack - inTrack
+		if chunk > remaining {
+			chunk = remaining
+		}
+		rot := d.rotWaitMS(t, inTrack)
+		t += rot
+		bd.rotMS += rot
+		xfer := float64(chunk) / float64(g.BytesPerTrack) * g.RotationMS
+		t += xfer
+		bd.xferMS += xfer
+		pos += chunk
+		remaining -= chunk
+		if cyl := cylOf(pos); remaining > 0 && cyl != d.headCyl {
+			s := g.SeekMS(cyl - d.headCyl)
+			t += s
+			bd.seekMS += s
+			d.headCyl = cyl
+		}
+	}
+	extra := float64(seg.extraRotations) * g.RotationMS
+	t += extra
+	bd.rotMS += extra
+	d.lastBD = bd
+	return t - start
+}
+
+// TestServiceMSMatchesPerTrackDivision runs serviceMS and refServiceMS
+// side by side over seeded segments of every shape — sub-track, whole
+// tracks, cylinder-spanning, read-modify-write — on the Wren IV and on
+// geometries whose tracks do not divide the unit sizes evenly, and
+// requires identical bits for the time, its breakdown and the head.
+func TestServiceMSMatchesPerTrackDivision(t *testing.T) {
+	geoms := []Geometry{
+		WrenIV(),
+		{BytesPerTrack: 32 * units.KB, TracksPerCylinder: 4, Cylinders: 300, RotationMS: 8.33, SingleTrackSeekMS: 2, SeekIncrementMS: 0.01},
+		{BytesPerTrack: 1000, TracksPerCylinder: 1, Cylinders: 5000, RotationMS: 3, SingleTrackSeekMS: 4, SeekIncrementMS: 0.5},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for gi, g := range geoms {
+		got, ref := &drive{geom: g}, &drive{geom: g}
+		now := 0.0
+		for i := 0; i < 20000; i++ {
+			var n int64
+			switch rng.Intn(4) {
+			case 0:
+				n = rng.Int63n(g.BytesPerTrack) + 1
+			case 1:
+				n = g.BytesPerTrack * (rng.Int63n(3) + 1)
+			case 2:
+				n = rng.Int63n(3*g.CylinderBytes()) + 1
+			default:
+				n = rng.Int63n(256*units.KB) + 1
+			}
+			if n > g.Capacity() {
+				n = g.Capacity()
+			}
+			seg := segment{start: rng.Int63n(g.Capacity() - n + 1), n: n, extraRotations: rng.Intn(3) / 2}
+			if rng.Intn(2) == 0 {
+				seg.start -= seg.start % g.BytesPerTrack
+			}
+			a, b := got.serviceMS(now, &seg), refServiceMS(ref, now, &seg)
+			if math.Float64bits(a) != math.Float64bits(b) || got.lastBD != ref.lastBD || got.headCyl != ref.headCyl {
+				t.Fatalf("geometry %d, segment %d [%d,+%d) at %v: serviceMS %v %+v head %d, per-track division %v %+v head %d",
+					gi, i, seg.start, seg.n, now, a, got.lastBD, got.headCyl, b, ref.lastBD, ref.headCyl)
+			}
+			now += a + rng.Float64()*5
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math"
 	"testing"
 
 	"rofs/internal/sim"
@@ -184,5 +185,69 @@ func TestFailDriveNowRequiresRAID5(t *testing.T) {
 	}
 	if err := s.FailDriveNow(0, 0); err == nil {
 		t.Error("FailDriveNow on a striped array should fail")
+	}
+}
+
+// TestFailDriveNowFlushThenTraffic fails a drive while segments are
+// queued on it, then keeps the array busy: the flush must leave nothing
+// of the old queue behind, later traffic runs degraded to completion, and
+// the spare's rebuild writes queue and complete on the flushed slot.
+func TestFailDriveNowFlushThenTraffic(t *testing.T) {
+	eng := &sim.Engine{}
+	s, err := New(raid5TestConfig(4), eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ArmFaults(FaultConfig{Rebuild: true, SpareDelayMS: 50, ChunkBytes: 240 * units.KB}); err != nil {
+		t.Fatal(err)
+	}
+	var done, failed, lateFailed int
+	submit := func(i int, write bool) {
+		s.Submit(&Request{
+			Runs:  []Run{{Start: int64(i*37%200) * 24, Len: 8}},
+			Write: write,
+			Done:  func(float64) { done++ },
+			Fail: func(float64) {
+				failed++
+				if i >= 64 {
+					lateFailed++
+				}
+			},
+		})
+	}
+	for i := 0; i < 64; i++ {
+		submit(i, i%3 == 0)
+	}
+	queued := s.Stats()[0].QueueLen
+	if queued < 2 {
+		t.Fatalf("drive 0 holds %d segments before the failure, want a queue", queued)
+	}
+	eng.At(0.1, func(now float64) {
+		if err := s.FailDriveNow(0, now); err != nil {
+			t.Error(err)
+		}
+		if got := s.Stats()[0].QueueLen; got != 1 {
+			t.Errorf("drive 0 holds %d segments after the flush, want only the one in service", got)
+		}
+		for i := 64; i < 128; i++ {
+			submit(i, i%3 == 0)
+		}
+	})
+	eng.Run(math.Inf(1))
+	if done+failed != 128 {
+		t.Fatalf("done %d + failed %d != 128 submitted", done, failed)
+	}
+	if failed == 0 || lateFailed != 0 {
+		t.Fatalf("%d requests failed, %d of them after the failure: want some of the first 64 and none after",
+			failed, lateFailed)
+	}
+	fs := s.FaultStats(eng.Now())
+	if fs.DriveFailures != 1 || fs.RebuildBytes != s.usablePerDrive || fs.Degraded || fs.Rebuilding {
+		t.Fatalf("fault stats %+v: want one failure and a finished rebuild of %d bytes", fs, s.usablePerDrive)
+	}
+	for i, st := range s.Stats() {
+		if st.QueueLen != 0 {
+			t.Errorf("drive %d still holds %d segments", i, st.QueueLen)
+		}
 	}
 }

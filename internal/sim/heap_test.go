@@ -225,3 +225,33 @@ func BenchmarkEngineDepth256(b *testing.B) {
 	}
 	e.Run(math.Inf(1))
 }
+
+// TestDuplicateTimesFireInSchedulingOrder pins the order of events that
+// share a firing time, at zero (either sign), at an ordinary time and at
+// +Inf: time first, then scheduling order, with −0 and +0 one time.
+func TestDuplicateTimesFireInSchedulingOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf := math.Inf(1)
+	times := []float64{inf, 5, 0, negZero, 5, inf, negZero, 0, 5}
+	var e Engine
+	var fired []int
+	for i, at := range times {
+		i := i
+		e.At(at, func(now float64) {
+			if now != times[i] {
+				t.Errorf("event %d fired at %v, scheduled at %v", i, now, times[i])
+			}
+			fired = append(fired, i)
+		})
+	}
+	e.Run(inf)
+	want := []int{2, 3, 6, 7, 1, 4, 8, 0, 5}
+	if len(fired) != len(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	}
+}
