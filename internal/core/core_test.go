@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"rofs/internal/alloc/extent"
@@ -296,6 +297,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := RunAllocation(bad); err == nil {
 		t.Error("inverted utilization bounds accepted")
+	}
+	for _, cap := range []float64{-5000, math.NaN(), math.Inf(-1)} {
+		cfg := Config{Disk: smallDisk(), Policy: Buddy(), Workload: scaledTS(), MaxSimMS: cap}
+		for _, kind := range []TestKind{Application, Sequential, Aging} {
+			if out, err := Run(cfg, kind); err == nil {
+				t.Errorf("MaxSimMS %g accepted by %v: SimMS %g", cap, kind, out.Stats.SimMS)
+			}
+		}
 	}
 	noTypes := Config{Disk: smallDisk(), Policy: Buddy(), Workload: workload.Workload{Name: "empty"}}
 	if _, err := RunAllocation(noTypes); err == nil {

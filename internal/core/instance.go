@@ -103,6 +103,9 @@ func (c *Config) setDefaults() error {
 	if c.StableWindows == 0 {
 		c.StableWindows = 3
 	}
+	if !(c.MaxSimMS >= 0) {
+		return fmt.Errorf("core: MaxSimMS must be non-negative, got %g", c.MaxSimMS)
+	}
 	if c.MaxSimMS == 0 {
 		c.MaxSimMS = 600_000
 	}

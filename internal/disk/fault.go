@@ -189,10 +189,11 @@ func (s *System) FailDriveNow(i int, now float64) error {
 	d := s.drives[i]
 	q := d.queue
 	d.queue = d.queue[:0]
-	for _, seg := range q {
-		p := seg.req
+	for j, e := range q {
+		q[j] = queued{}
+		p := e.seg.req
 		p.failed = true
-		s.releaseSegment(seg)
+		s.releaseSegment(e.seg)
 		s.segmentDone(p, now)
 	}
 	if d.busy {

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"rofs/internal/sim"
@@ -363,4 +364,107 @@ func TestSequentialApproachesSustainedBandwidth(t *testing.T) {
 	if pct := 100 * rate / s.MaxBandwidth(); pct < 97 || pct > 103 {
 		t.Fatalf("sequential read ran at %.1f%% of sustained bandwidth", pct)
 	}
+}
+
+// TestStripedAndMirroredMatchUnitDivision checks the stripe walk against
+// the per-unit division it replaces: for seeded multi-run requests on
+// striped and mirrored arrays, every disk unit of every run lands at
+// (idx mod columns, (idx / columns)·su + offset) with idx the unit's
+// stripe-unit index, and nothing else is placed.
+func TestStripedAndMirroredMatchUnitDivision(t *testing.T) {
+	for _, layout := range []Layout{Striped, Mirrored} {
+		cfg := DefaultConfig()
+		cfg.Layout = layout
+		cfg.StripeUnitBytes = 3 * cfg.UnitBytes
+		s, _ := newSys(t, cfg)
+		cols := int64(cfg.NDisks)
+		if layout == Mirrored {
+			cols /= 2
+		}
+		su, ub := cfg.StripeUnitBytes, cfg.UnitBytes
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 2000; i++ {
+			req := &Request{Write: true}
+			for k := rng.Intn(3) + 1; k > 0; k-- {
+				n := rng.Int63n(40) + 1
+				req.Runs = append(req.Runs, Run{rng.Int63n(s.Units() - n), n})
+			}
+			want := map[[2]int64]int{}
+			for _, r := range req.Runs {
+				for u := r.Start; u < r.Start+r.Len; u++ {
+					idx, off := u*ub/su, u*ub%su
+					col, local := idx%cols, (idx/cols)*su+off
+					if layout == Mirrored {
+						want[[2]int64{2 * col, local}]++
+						want[[2]int64{2*col + 1, local}]++
+					} else {
+						want[[2]int64{col, local}]++
+					}
+				}
+			}
+			got := map[[2]int64]int{}
+			for _, sg := range s.segments(req) {
+				for b := sg.seg.start; b < sg.seg.start+sg.seg.n; b += ub {
+					got[[2]int64{int64(sg.disk), b}]++
+				}
+				s.releaseSegment(sg.seg)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v request %d: placed %d units, want %d", layout, i, len(got), len(want))
+			}
+			for k, n := range want {
+				if got[k] != n {
+					t.Fatalf("%v request %d: disk %d offset %d placed %d times, want %d",
+						layout, i, k[0], k[1], got[k], n)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkRequestPath is the disk request path in steady state: the
+// Table 1 array (eight drives, striped, SSTF) with eight 8 KB reads always
+// in flight per drive, one in service and seven queued, each completion
+// submitting its stream's next read to the same drive at a seeded random
+// stripe row. One op is one request: Submit, a queue wait, an SSTF pick,
+// service and completion. Steady-state traffic allocates nothing: the
+// segments, completion records, queues and event heap are recycled.
+func BenchmarkRequestPath(b *testing.B) {
+	const perDrive = 8
+	cfg := DefaultConfig()
+	eng := &sim.Engine{}
+	s, err := New(cfg, eng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ndisks := int64(cfg.NDisks)
+	suUnits := cfg.StripeUnitBytes / cfg.UnitBytes
+	rows := s.Units() / suUnits / ndisks
+	rng := sim.NewRNG(1)
+	left := 0
+	next := func(req *Request, disk int64) {
+		if left == 0 {
+			return
+		}
+		left--
+		req.Runs[0] = Run{(rng.Int63n(rows)*ndisks + disk) * suUnits, 8 * units.KB / cfg.UnitBytes}
+		s.Submit(req)
+	}
+	reqs := make([]Request, perDrive*cfg.NDisks)
+	for i := range reqs {
+		req, disk := &reqs[i], int64(i)%ndisks
+		req.Runs = make([]Run, 1)
+		req.Done = func(float64) { next(req, disk) }
+	}
+	run := func(requests int) {
+		left = requests
+		for i := range reqs {
+			next(&reqs[i], int64(i)%ndisks)
+		}
+		eng.Run(math.Inf(1))
+	}
+	run(10 * len(reqs)) // grow the queues, heap and free lists first
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }

@@ -441,6 +441,10 @@ func (p *Pool) one(ctx context.Context, sp Spec) (res Result) {
 	return res
 }
 
+// runSim performs one simulation: cluster.Run, held in a variable so a
+// test can make a run panic.
+var runSim = cluster.Run
+
 // simulate performs the Spec's run, converting a panicking simulation
 // into a failed Result instead of a crashed process.
 func (p *Pool) simulate(ctx context.Context, sp Spec) (out core.Outcome, err error) {
@@ -454,7 +458,7 @@ func (p *Pool) simulate(ctx context.Context, sp Spec) (out core.Outcome, err err
 	if p.MetricsIntervalMS > 0 {
 		cfg.Metrics = metrics.New(p.MetricsIntervalMS)
 	}
-	return cluster.Run(cfg, sp.Cluster, sp.Kind)
+	return runSim(cfg, sp.Cluster, sp.Kind)
 }
 
 // Do runs fn(i) for every i in [0, n) on at most Jobs workers and returns

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"rofs/internal/cluster"
 	"rofs/internal/core"
 	"rofs/internal/disk"
 	"rofs/internal/workload"
@@ -157,12 +157,19 @@ func TestPoolCancelMidFlightEvictsCache(t *testing.T) {
 }
 
 func TestPoolCapturesPanics(t *testing.T) {
-	// A NaN horizon makes the engine panic (see sim.Engine.Run); the pool
-	// must turn that into a failed Result, not a crashed process, and the
-	// healthy spec in the same batch must still complete.
+	// A simulation that panics — here the application run, made to panic
+	// the way the engine does on a modelling bug — must become a failed
+	// Result, not a crashed process, and the healthy spec in the same
+	// batch must still complete.
+	defer func(run func(core.Config, cluster.Config, core.TestKind) (core.Outcome, error)) { runSim = run }(runSim)
+	runSim = func(cfg core.Config, cc cluster.Config, kind core.TestKind) (core.Outcome, error) {
+		if kind == core.Application {
+			panic("sim: event scheduled at NaN")
+		}
+		return cluster.Run(cfg, cc, kind)
+	}
 	bad := testSpec(t, 1)
 	bad.Kind = core.Application
-	bad.MaxSimMS = math.NaN()
 	good := testSpec(t, 1)
 	res, err := New(2).Run(context.Background(), []Spec{good, bad})
 	if err == nil {

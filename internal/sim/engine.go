@@ -13,11 +13,19 @@
 // — the steady-state event loop allocates nothing. Because (time, seq) is a
 // total order, pop order is independent of heap shape and arity: results
 // are byte-identical to the earlier container/heap implementation.
+//
+// The clock never runs backwards and never holds NaN: At rejects NaN and
+// past times, Run and RunUntil reject NaN and past horizons, and a −0
+// firing time is stored as +0. Every firing time is therefore +0, positive
+// or +Inf, where the IEEE 754 bit patterns, read as unsigned integers,
+// order exactly as the times do; the heap compares those bits and the
+// sequence number as one 128-bit key.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Handler is an event callback. It runs with the clock set to the event's
@@ -25,19 +33,24 @@ import (
 type Handler func(now float64)
 
 type event struct {
-	at  float64
+	at  uint64 // math.Float64bits of the firing time, which is never negative
 	seq uint64
 	fn  Handler
 }
 
-// less orders events by firing time, ties broken by scheduling order. It
-// defines a total order, so the heap's pop sequence is unique.
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before orders events by firing time, ties broken by scheduling order:
+// it returns 1 when a precedes b, else 0. a precedes b when the 128-bit
+// number at:seq of a is below b's, which is when a−b borrows out of the
+// top word. It defines a total order, so the heap's pop sequence is
+// unique.
+func before(a, b *event) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return int(borrow)
 }
+
+// time returns the event's firing time.
+func (ev *event) time() float64 { return math.Float64frombits(ev.at) }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
@@ -63,13 +76,20 @@ func (e *Engine) Pending() int { return len(e.queue) }
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // At schedules fn to fire at absolute simulated time at. Scheduling in the
-// past panics — it always indicates a modelling bug.
+// past or at NaN panics — it always indicates a modelling bug. A −0 time
+// is scheduled as +0.
 func (e *Engine) At(at float64, fn Handler) {
-	if at < e.now {
+	if !(at >= e.now) {
+		if math.IsNaN(at) {
+			panic("sim: event scheduled at NaN")
+		}
 		panic(fmt.Sprintf("sim: event scheduled at %.3f before now %.3f", at, e.now))
 	}
+	if at == 0 {
+		at = 0 // −0 to +0: its bit pattern would order after every time
+	}
 	e.seq++
-	e.push(event{at: at, seq: e.seq, fn: fn})
+	e.push(event{at: math.Float64bits(at), seq: e.seq, fn: fn})
 }
 
 // After schedules fn to fire delay milliseconds from now.
@@ -90,7 +110,7 @@ func (e *Engine) push(ev event) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !less(&ev, &q[p]) {
+		if before(&ev, &q[p]) == 0 {
 			break
 		}
 		q[i] = q[p]
@@ -123,11 +143,9 @@ func (e *Engine) pop() event {
 				hi = n
 			}
 			for j := c + 1; j < hi; j++ {
-				if less(&q[j], &q[m]) {
-					m = j
-				}
+				m += (j - m) * before(&q[j], &q[m]) // the earlier child, without a branch
 			}
-			if !less(&q[m], &last) {
+			if before(&q[m], &last) == 0 {
 				break
 			}
 			q[i] = q[m]
@@ -146,21 +164,25 @@ func (e *Engine) Stop() { e.stopped = true }
 // returns the simulated time at exit. A NaN horizon panics — every
 // comparison against NaN is false, so the horizon would silently never
 // bound the run; like past scheduling, it always indicates a modelling
-// bug.
+// bug. So does a horizon before now, which would move the clock back and
+// let events be scheduled in the past.
 func (e *Engine) Run(untilMS float64) float64 {
 	if math.IsNaN(untilMS) {
 		panic("sim: Run horizon is NaN")
 	}
+	if untilMS < e.now {
+		panic(fmt.Sprintf("sim: Run horizon %.3f before now %.3f", untilMS, e.now))
+	}
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > untilMS {
+		if e.queue[0].time() > untilMS {
 			// Leave the event queued; advance the clock to the horizon so
 			// repeated Run calls with growing horizons behave sensibly.
 			e.now = untilMS
 			return e.now
 		}
 		ev := e.pop()
-		e.now = ev.at
+		e.now = ev.time()
 		e.fired++
 		ev.fn(e.now)
 	}
@@ -187,11 +209,11 @@ func (e *Engine) RunUntil(untilMS float64) float64 {
 	}
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > untilMS {
+		if e.queue[0].time() > untilMS {
 			break
 		}
 		ev := e.pop()
-		e.now = ev.at
+		e.now = ev.time()
 		e.fired++
 		ev.fn(e.now)
 	}

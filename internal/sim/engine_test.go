@@ -269,3 +269,71 @@ func TestRunUntilRejectsBackwardHorizon(t *testing.T) {
 	}()
 	e.RunUntil(25)
 }
+
+// TestRunRejectsBackwardHorizon: a horizon before now would move the
+// clock back, and events could then be scheduled in the past.
+func TestRunRejectsBackwardHorizon(t *testing.T) {
+	var e Engine
+	fired := false
+	e.At(80, func(float64) { fired = true })
+	e.Run(50)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Run into the past did not panic")
+			}
+		}()
+		e.Run(20)
+	}()
+	if e.Now() != 50 || fired {
+		t.Fatalf("clock at %g, fired %v after a rejected Run(20); want 50, false", e.Now(), fired)
+	}
+	// The horizon may stay where it is.
+	if end := e.Run(50); end != 50 {
+		t.Fatalf("Run(now) moved the clock to %g", end)
+	}
+}
+
+// TestNaNSchedulingPanics: a NaN firing time has no place in the heap's
+// order, through At or After.
+func TestNaNSchedulingPanics(t *testing.T) {
+	for name, schedule := range map[string]func(e *Engine){
+		"At":    func(e *Engine) { e.At(math.NaN(), func(float64) {}) },
+		"After": func(e *Engine) { e.After(math.NaN(), func(float64) {}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var e Engine
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s(NaN) did not panic", name)
+				}
+				if e.Pending() != 0 {
+					t.Fatalf("%s(NaN) queued an event", name)
+				}
+			}()
+			schedule(&e)
+		})
+	}
+}
+
+// TestNegativeZeroFiresAsZero: −0 is scheduled as +0, so it orders with
+// +0 by scheduling order and the clock never reads −0.
+func TestNegativeZeroFiresAsZero(t *testing.T) {
+	var e Engine
+	var order []int
+	e.At(0, func(float64) { order = append(order, 0) })
+	e.At(math.Copysign(0, -1), func(now float64) {
+		if math.Signbit(now) {
+			t.Error("event scheduled at -0 fired at -0")
+		}
+		order = append(order, 1)
+	})
+	e.At(math.SmallestNonzeroFloat64, func(float64) { order = append(order, 2) })
+	e.Run(math.Inf(1))
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("order %v, want [0 1 2]", order)
+	}
+	if math.Signbit(e.Now()) {
+		t.Fatal("clock reads -0")
+	}
+}

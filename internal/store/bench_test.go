@@ -13,16 +13,27 @@ import (
 // application run with metrics on) under its own key, padded to the
 // 1,191 bytes of that run's spec key, so a record takes the 3.3 KB a
 // served result does. 64 records is what the benchmark's serve workload
-// restarts on.
+// restarts on. The 64 KiB-segment row spreads 1,024 records over 53
+// segments, the shape of a server store at its default 4 MiB segments
+// and 256 MB budget (64 segments), scaled down.
 func BenchmarkOpen(b *testing.B) {
 	const keyBytes = 1191
 	envelope, err := os.ReadFile(filepath.Join("testdata", "envelope.json"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{NoSync: true, NoCompact: true}
-	for _, n := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		n       int
+		segment int64
+	}{
+		{"records=64", 64, 0},
+		{"records=1024", 1024, 0},
+		{"records=1024/segment=64KiB", 1024, 64 << 10},
+	} {
+		n := tc.n
+		opts := Options{NoSync: true, NoCompact: true, SegmentBytes: tc.segment}
+		b.Run(tc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			s, err := Open(dir, opts)
 			if err != nil {

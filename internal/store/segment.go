@@ -210,26 +210,29 @@ func (s *Store) readRecord(e *entry) ([]byte, error) {
 // copied to a .quarantined sidecar, the segment is truncated back to its
 // last good record, and the scan moves on. A kill mid-write therefore
 // costs at most the torn tail.
-func (s *Store) scanSegment(id int) error {
+//
+// The segment is read into buf, grown as needed and returned for the next
+// segment's scan: Open allocates and zeroes one buffer the size of the
+// largest segment, not one per segment. Nothing indexed points into it.
+func (s *Store) scanSegment(id int, buf []byte) ([]byte, error) {
 	path := filepath.Join(s.dir, segName(id))
-	// os.ReadFile sizes its buffer from Stat: one read, no regrowth.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: scan %s: %w", segName(id), err)
-	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return buf, fmt.Errorf("store: %w", err)
 	}
 	seg := &segment{id: id, f: f}
 	s.segs[id] = seg
+	data, err := readFull(f, buf)
+	if err != nil {
+		return data, fmt.Errorf("store: scan %s: %w", segName(id), err)
+	}
 
 	off := 0
 	for off < len(data) {
 		key, recLen, err := checkRecord(data[off:])
 		if err != nil {
 			if qerr := s.quarantineTail(seg, data, off); qerr != nil {
-				return qerr
+				return data, qerr
 			}
 			break
 		}
@@ -246,7 +249,30 @@ func (s *Store) scanSegment(id int) error {
 	// Dead bytes (superseded records) were counted by dropLocked as the
 	// scan discovered newer versions; only the segment size remains.
 	seg.size = int64(off)
-	return nil
+	return data, nil
+}
+
+// readFull reads f from its start to EOF into buf's backing array, sized
+// from Stat the way os.ReadFile sizes a fresh one, and grown only if the
+// file is longer than Stat said.
+func readFull(f *os.File, buf []byte) ([]byte, error) {
+	if fi, err := f.Stat(); err == nil && int64(cap(buf)) <= fi.Size() {
+		buf = make([]byte, 0, fi.Size()+1) // +1: see EOF without regrowing
+	}
+	buf = buf[:0]
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // quarantineTail copies data[off:] to the segment's .quarantined sidecar

@@ -359,8 +359,9 @@ func (s *Store) scanDir() error {
 		}
 	}
 	sort.Ints(ids)
+	var buf []byte
 	for _, id := range ids {
-		if err := s.scanSegment(id); err != nil {
+		if buf, err = s.scanSegment(id, buf); err != nil {
 			return err
 		}
 		s.nextSeg = id + 1

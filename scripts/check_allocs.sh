@@ -4,7 +4,8 @@
 # allocs/op as reported by -benchmem; the engine benchmarks are budgeted
 # at zero, which is what keeps the simulator hot loop allocation-free, and
 # so are the free-space maps' steady-size cycles and the allocation
-# policies' grow/truncate cycles. File creation (fs) is budgeted at one.
+# policies' grow/truncate cycles, and the disk system's steady-state
+# request path. File creation (fs) is budgeted at one.
 # allocs/op is a mean floored to an integer, so 0.99 allocations per op
 # print as 0: a row budgeted at zero must also print 0 B/op.
 set -eu
@@ -12,8 +13,8 @@ cd "$(dirname "$0")/.."
 
 budget=bench/allocs_budget.txt
 out=$(go test -run '^$' \
-	-bench '^(BenchmarkEngine(SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd|BenchmarkGrowTruncate|BenchmarkChurn|BenchmarkGrowThenExtents|BenchmarkCreateRecreate)$' \
-	-benchmem -benchtime 0.5s ./internal/sim ./internal/container/... ./internal/alloc/... ./internal/fs)
+	-bench '^(BenchmarkEngine(SelfFire|Depth256)|BenchmarkAllocFreeCycle|BenchmarkInsertCoalesce|BenchmarkSetDeleteSteady|BenchmarkNextRemoveAdd|BenchmarkGrowTruncate|BenchmarkChurn|BenchmarkGrowThenExtents|BenchmarkCreateRecreate|BenchmarkRequestPath)$' \
+	-benchmem -benchtime 0.5s ./internal/sim ./internal/container/... ./internal/alloc/... ./internal/fs ./internal/disk)
 echo "$out"
 
 fail=0
