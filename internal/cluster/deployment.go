@@ -139,7 +139,7 @@ func newDeployment(cfg core.Config, cc Config) (*Deployment, error) {
 			icfg.Faults = fault.Scenario{}
 		}
 		eng := &sim.Engine{}
-		in, err := core.NewInstance(icfg, core.Application, eng, i)
+		in, err := core.NewInstance(icfg, eng, i)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: instance %d: %w", i, err)
 		}

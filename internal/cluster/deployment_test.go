@@ -28,7 +28,7 @@ func benchCfg(t *testing.T) core.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sc.Config(core.Extent(extent.BestFit, []int64{16 * 1024, 512 * 1024, 16 * 1024 * 1024}), wl)
+	cfg := sc.Spec(core.Extent(extent.BestFit, []int64{16 * 1024, 512 * 1024, 16 * 1024 * 1024}), wl, core.Application).Config()
 	cfg.MaxSimMS = 30_000
 	return cfg
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"rofs/internal/alloc"
 	"rofs/internal/sim"
 )
@@ -62,10 +60,9 @@ func (r *AgingResult) Final() AgingSample {
 // MaxSimMS of simulated time, sampling the free-space shape along the way.
 func (s *Instance) aging() (AgingResult, error) {
 	res := AgingResult{Policy: s.cfg.Policy.Name(), Workload: s.cfg.Workload.Name}
-	if s.initFiles() {
-		return res, fmt.Errorf("core: disk filled during initialization (utilization target too high)")
+	if err := s.PrimeThroughput(); err != nil {
+		return res, err
 	}
-	s.fill()
 	if s.canceled {
 		return res, nil
 	}
@@ -80,7 +77,7 @@ func (s *Instance) aging() (AgingResult, error) {
 		s.eng.After(interval, tick)
 	}
 	s.eng.After(interval, tick)
-	s.scheduleUsers()
+	s.ScheduleUsers()
 	end := s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
 	res.SimMS = end
 	res.Ops = s.ops

@@ -21,40 +21,43 @@ func tinyDisk() disk.Config {
 	return cfg
 }
 
-// ExampleRunAllocation measures fragmentation at the first failed request
-// — the paper's §3 allocation test — for the restricted buddy policy on a
+// ExampleRun measures fragmentation at the first failed request — the
+// paper's §3 allocation test — for the restricted buddy policy on a
 // reduced time-sharing workload.
-func ExampleRunAllocation() {
-	res, err := core.RunAllocation(core.Config{
+func ExampleRun() {
+	out, err := core.Run(core.Config{
 		Disk:     tinyDisk(),
 		Policy:   core.RBuddy(5, 1, true),
 		Workload: workload.TimeSharing().Scale(32, 1),
 		Seed:     42,
-	})
+	}, core.Allocation)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	res := out.Frag
 	fmt.Printf("filled=%v internal=%.1f%% external=%.1f%%\n",
 		res.Filled, res.InternalPct, res.ExternalPct)
 	// Output:
 	// filled=true internal=6.4% external=0.1%
 }
 
-// ExampleRunSequential runs the §3 sequential test: after the application
-// phase ages the disk, every operation reads or writes an entire file.
-func ExampleRunSequential() {
-	res, err := core.RunSequential(core.Config{
+// ExampleRun_sequential runs the §3 sequential test: after the
+// application phase ages the disk, every operation reads or writes an
+// entire file.
+func ExampleRun_sequential() {
+	out, err := core.Run(core.Config{
 		Disk:     tinyDisk(),
 		Policy:   core.RBuddy(5, 1, true),
 		Workload: workload.SuperComputer().Scale(1, 32),
 		Seed:     42,
 		MaxSimMS: 60_000,
-	})
+	}, core.Sequential)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
+	res := out.Perf
 	// Large files on big multiblock allocations stream near the array's
 	// full bandwidth.
 	fmt.Printf("high=%v\n", res.Percent > 80)

@@ -69,19 +69,13 @@ type PerfResult struct {
 	Compaction *CompactionReport `json:",omitempty"`
 }
 
-// RunAllocation performs the allocation test: initialization, then only
-// extend/truncate/delete/create traffic until the first allocation failure
-// (§3).
-func RunAllocation(cfg Config) (FragResult, error) {
-	out, err := Run(cfg, Allocation)
-	return out.Frag, err
-}
-
-// allocation runs the §3 allocation test on a fresh session.
+// allocation runs the §3 allocation test on a fresh instance:
+// initialization, then only extend/truncate/delete/create traffic until
+// the first allocation failure.
 func (s *Instance) allocation() (FragResult, error) {
 	res := FragResult{Policy: s.cfg.Policy.Name(), Workload: s.cfg.Workload.Name}
 	if !s.initFiles() {
-		s.scheduleUsers()
+		s.ScheduleUsers()
 		s.eng.Run(math.Inf(1))
 		if !s.diskFull {
 			// Operation cap: report the current state, flagged.
@@ -133,16 +127,10 @@ type compacter interface {
 	Compact(used int64, maxExtents int) bool
 }
 
-// RunAllocationWithReallocation performs the allocation test and then runs
-// the [KOCH87] reallocator the paper excluded (§4.1), quantifying how much
-// of the buddy system's fragmentation the nightly rearranger would win
-// back. Policies without a reallocator yield After == Before.
-func RunAllocationWithReallocation(cfg Config) (ReallocResult, error) {
-	out, err := Run(cfg, AllocationRealloc)
-	return out.Realloc, err
-}
-
-// allocationRealloc runs the allocation test followed by the reallocator.
+// allocationRealloc runs the allocation test and then the [KOCH87]
+// reallocator the paper excluded (§4.1), quantifying how much of the buddy
+// system's fragmentation the nightly rearranger would win back. Policies
+// without a reallocator yield After == Before.
 func (s *Instance) allocationRealloc() (ReallocResult, error) {
 	var res ReallocResult
 	mk := func() FragResult {
@@ -156,7 +144,7 @@ func (s *Instance) allocationRealloc() (ReallocResult, error) {
 		}
 	}
 	if !s.initFiles() {
-		s.scheduleUsers()
+		s.ScheduleUsers()
 		s.eng.Run(math.Inf(1))
 	}
 	res.Before = mk()
@@ -184,34 +172,33 @@ func (s *Instance) allocationRealloc() (ReallocResult, error) {
 // kind at entry selects the test; a workload with an Arrivals block runs
 // the measurement phase open-loop instead of scheduling user streams.
 func (s *Instance) perf() (PerfResult, error) {
-	kind := s.kind
+	seq := s.kind == Sequential
 	if s.cfg.Workload.Arrivals != nil {
-		if kind == sequentialTest {
+		if seq {
 			return PerfResult{}, fmt.Errorf("core: open-loop arrivals drive the application test only (the sequential test's whole-file phases are inherently closed-loop)")
 		}
 		return s.perfOpenLoop()
 	}
 	res := PerfResult{Policy: s.cfg.Policy.Name(), Workload: s.cfg.Workload.Name}
-	if s.initFiles() {
-		return res, fmt.Errorf("core: disk filled during initialization (utilization target too high)")
+	if err := s.PrimeThroughput(); err != nil {
+		return res, err
 	}
-	s.fill()
-	if kind == sequentialTest {
+	if seq {
 		// §3: "When the throughput has stabilized the throughput numbers
 		// are recorded and the sequential test begins" — the sequential
 		// test measures the state the application phase aged.
-		s.kind = applicationTest
-		s.startTracker()
-		s.scheduleUsers()
+		s.kind = Application
+		s.StartMeasurement()
+		s.ScheduleUsers()
 		s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
-		s.kind = sequentialTest
-		s.startTracker()
+		s.kind = Sequential
+		s.StartMeasurement()
 	} else {
-		s.startTracker()
-		s.scheduleUsers()
+		s.StartMeasurement()
+		s.ScheduleUsers()
 	}
 	end := s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
-	return s.perfTail(end)
+	return s.Result(end)
 }
 
 // perfOpenLoop runs the measurement phase against the workload's arrival
@@ -223,7 +210,7 @@ func (s *Instance) perfOpenLoop() (PerfResult, error) {
 	if err := s.PrimeThroughput(); err != nil {
 		return res, err
 	}
-	s.startTracker()
+	s.StartMeasurement()
 	src, err := NewArrivalSource(s.eng, s.cfg.Seed, &s.cfg.Workload, s.Dispatch)
 	if err != nil {
 		return res, err
@@ -235,13 +222,14 @@ func (s *Instance) perfOpenLoop() (PerfResult, error) {
 	}
 	src.Start(s.eng.Now())
 	end := s.eng.Run(s.eng.Now() + s.cfg.MaxSimMS)
-	return s.perfTail(end)
+	return s.Result(end)
 }
 
-// perfTail assembles the throughput-test result at end-of-run: tracker
-// readout, latency summary, fault report, consistency check, trace flush.
-// Plain runs, open-loop runs, and fleet members all share it.
-func (s *Instance) perfTail(end float64) (PerfResult, error) {
+// Result assembles the throughput-test result for a run that ended at
+// simulated time end: tracker readout, latency summary, fault report, the
+// post-run consistency check and the trace flush. Plain runs, open-loop
+// runs, and fleet members all share it.
+func (s *Instance) Result(end float64) (PerfResult, error) {
 	res := PerfResult{Policy: s.cfg.Policy.Name(), Workload: s.cfg.Workload.Name}
 	res.Stable = s.tracker.Stable()
 	if res.Stable {
@@ -277,18 +265,4 @@ func (s *Instance) postRun() error {
 		return fmt.Errorf("core: trace: %w", err)
 	}
 	return nil
-}
-
-// RunApplication performs the application performance test: the full
-// workload mix at 90–95% utilization until throughput stabilizes (§3).
-func RunApplication(cfg Config) (PerfResult, error) {
-	out, err := Run(cfg, Application)
-	return out.Perf, err
-}
-
-// RunSequential performs the sequential performance test: reads and writes
-// only, each to an entire file (§3).
-func RunSequential(cfg Config) (PerfResult, error) {
-	out, err := Run(cfg, Sequential)
-	return out.Perf, err
 }

@@ -49,10 +49,11 @@ func TestPreFailRejectsScheduledFailure(t *testing.T) {
 // the result must carry a fault report with the failure, retries, and a
 // completed rebuild.
 func TestFaultInjectorWiring(t *testing.T) {
-	res, err := RunApplication(faultTestConfig())
+	out, err := Run(faultTestConfig(), Application)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Perf
 	fr := res.Faults
 	if fr == nil {
 		t.Fatal("fault scenario ran but the result has no fault report")
@@ -86,10 +87,11 @@ func TestFaultInjectorWiring(t *testing.T) {
 func TestFaultFreeRunHasNoReport(t *testing.T) {
 	cfg := faultTestConfig()
 	cfg.Faults = fault.Scenario{}
-	res, err := RunApplication(cfg)
+	out, err := Run(cfg, Application)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Perf
 	if res.Faults != nil {
 		t.Errorf("fault-free run produced a fault report: %+v", res.Faults)
 	}
@@ -98,16 +100,16 @@ func TestFaultFreeRunHasNoReport(t *testing.T) {
 // TestFaultRunDeterminism replays the full scenario: every field of the
 // result — including the fault report and its event log — must match.
 func TestFaultRunDeterminism(t *testing.T) {
-	a, err := RunApplication(faultTestConfig())
+	a, err := Run(faultTestConfig(), Application)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunApplication(faultTestConfig())
+	b, err := Run(faultTestConfig(), Application)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed + scenario diverged:\n%+v\n%+v", a, b)
+	if !reflect.DeepEqual(a.Perf, b.Perf) {
+		t.Fatalf("same seed + scenario diverged:\n%+v\n%+v", a.Perf, b.Perf)
 	}
 }
 
@@ -115,7 +117,7 @@ func TestFaultRunDeterminism(t *testing.T) {
 // engine, so the injector must not arm (and the run must succeed).
 func TestFaultsSkippedInAllocationTest(t *testing.T) {
 	cfg := faultTestConfig()
-	if _, err := RunAllocation(cfg); err != nil {
+	if _, err := Run(cfg, Allocation); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,12 +126,12 @@ func TestFaultsSkippedInAllocationTest(t *testing.T) {
 func TestFaultConfigRejected(t *testing.T) {
 	cfg := faultTestConfig()
 	cfg.Faults.TransientProb = 2
-	if _, err := RunApplication(cfg); err == nil {
+	if _, err := Run(cfg, Application); err == nil {
 		t.Error("TransientProb 2 accepted")
 	}
 	cfg = faultTestConfig()
 	cfg.Disk.Layout = disk.Striped
-	if _, err := RunApplication(cfg); err == nil {
+	if _, err := Run(cfg, Application); err == nil {
 		t.Error("drive-failure scenario accepted on a striped array")
 	}
 }

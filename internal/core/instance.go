@@ -127,23 +127,6 @@ func (c *Config) setDefaults() error {
 	return nil
 }
 
-// testKind selects which of the §3 tests an instance runs.
-type testKind int
-
-const (
-	allocationTest testKind = iota
-	applicationTest
-	sequentialTest
-	agingTest
-)
-
-// spaceOnly reports whether the kind measures space rather than time: the
-// disk system is detached (operations complete immediately), latency is
-// meaningless, and faults — a timing phenomenon — do not apply.
-func (k testKind) spaceOnly() bool {
-	return k == allocationTest || k == agingTest
-}
-
 // Instance is one live simulated file server: disk array, allocation
 // policy, file system, and the per-file-type populations — everything
 // that was the old one-run "session", minus the assumption that it owns
@@ -152,9 +135,9 @@ func (k testKind) spaceOnly() bool {
 // its own RNG stream derived from Seed and the instance index.
 type Instance struct {
 	cfg  Config
-	kind testKind
-	idx  int   // instance index within a fleet (0 for plain runs)
-	seed int64 // effective seed (Config.Seed + idx stride)
+	kind TestKind // Allocation, Application, Sequential or Aging
+	idx  int      // instance index within a fleet (0 for plain runs)
+	seed int64    // effective seed (Config.Seed + idx stride)
 
 	eng  *sim.Engine
 	rng  *sim.RNG
@@ -255,7 +238,7 @@ const instanceSeedStride = 1_000_003
 // Throughput tests attach the disk system to the file system; the
 // allocation test runs without disk timing (operations complete
 // immediately) since it measures space, not time.
-func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance, error) {
+func newInstance(cfg Config, kind TestKind, eng *sim.Engine, idx int) (*Instance, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -305,13 +288,12 @@ func newInstance(cfg Config, kind testKind, eng *sim.Engine, idx int) (*Instance
 	if cfg.Workload.Compact != nil {
 		// The overlay needs real drive traffic and a throughput phase; the
 		// space-only and sequential kinds have neither use for it.
-		if kind != applicationTest {
-			return nil, fmt.Errorf("core: compaction overlay requires the application test, not the %s test",
-				[...]string{"alloc", "app", "seq", "aging"}[kind])
+		if kind != Application {
+			return nil, fmt.Errorf("core: compaction overlay requires the application test, not the %s test", kind)
 		}
 		s.comp = newCompactor(s)
 	}
-	s.wireMetrics(kind)
+	s.wireMetrics()
 	s.startMetricsTick()
 	return s, nil
 }
@@ -383,10 +365,11 @@ func (s *Instance) markFull(now float64) {
 	s.eng.Stop()
 }
 
-// scheduleUsers creates the per-type event streams (the paper's first
-// initialization phase): each of the type's Users streams fires first at a
-// time uniform in [0, Users·HitFrequency] and then ProcessTime-spaced.
-func (s *Instance) scheduleUsers() {
+// ScheduleUsers starts the closed-loop per-type event streams (the paper's
+// first initialization phase): each of the type's Users streams fires
+// first at a time uniform in [0, Users·HitFrequency] and then
+// ProcessTime-spaced.
+func (s *Instance) ScheduleUsers() {
 	for _, ts := range s.types {
 		horizon := float64(ts.ft.Users) * ts.ft.HitFreqMS
 		for u := 0; u < ts.ft.Users; u++ {
@@ -544,7 +527,7 @@ const (
 // sequential test performs only reads and writes.
 func (s *Instance) pickOp(ft *workload.FileType) opKind {
 	switch s.kind {
-	case allocationTest, agingTest:
+	case Allocation, Aging:
 		// "Only the extend, truncate, delete, and create operations in the
 		// proportion as expressed by the file type parameters" (§3).
 		// Creates run at the delete rate and add brand-new files, so the
@@ -564,7 +547,7 @@ func (s *Instance) pickOp(ft *workload.FileType) opKind {
 		default:
 			return opCreate
 		}
-	case sequentialTest:
+	case Sequential:
 		rw := ft.ReadPct + ft.WritePct
 		if rw == 0 {
 			return opRead
@@ -621,7 +604,7 @@ func (s *Instance) doOp(u *userOp) {
 	// M while measurements are being taken"): an extend above the ceiling
 	// becomes a truncate, and a deallocation below the floor becomes an
 	// extend.
-	if s.kind != allocationTest {
+	if s.kind != Allocation {
 		switch util := s.fsys.Utilization(); {
 		case (op == opExtend || op == opCreate) && util > s.cfg.UpperUtil:
 			// Creates are in the mix only on the aging test, whose churn
@@ -635,7 +618,7 @@ func (s *Instance) doOp(u *userOp) {
 
 	switch op {
 	case opRead, opWrite:
-		if s.kind == sequentialTest {
+		if s.kind == Sequential {
 			u.startStream(0, f.Length(), op == opWrite)
 			return
 		}
@@ -647,7 +630,7 @@ func (s *Instance) doOp(u *userOp) {
 		u.startStream(off, size, op == opWrite)
 	case opExtend:
 		size := ft.ExtendSize()
-		if s.kind == allocationTest {
+		if s.kind == Allocation {
 			if err := f.Allocate(size); err != nil {
 				s.markFull(s.eng.Now())
 				return
@@ -655,7 +638,7 @@ func (s *Instance) doOp(u *userOp) {
 			u.complete(s.eng.Now())
 			return
 		}
-		if s.kind == agingTest {
+		if s.kind == Aging {
 			// Aging churns space without disk timing; a failed grow is the
 			// §2.2 disk-full condition — log it and carry on, the band
 			// keeping above pulls utilization back down.
@@ -676,7 +659,7 @@ func (s *Instance) doOp(u *userOp) {
 		nf := s.fsys.Create(ft.AllocSizeBytes)
 		size := s.drawInitialSize(ft)
 		if err := nf.Allocate(size); err != nil {
-			if s.kind != agingTest {
+			if s.kind != Aging {
 				s.markFull(s.eng.Now())
 				return
 			}
@@ -693,7 +676,7 @@ func (s *Instance) doOp(u *userOp) {
 			f.Recreate()
 			size := s.drawInitialSize(ft)
 			if err := f.Allocate(size); err != nil {
-				if s.kind == allocationTest {
+				if s.kind == Allocation {
 					s.markFull(s.eng.Now())
 					return
 				}
@@ -727,10 +710,10 @@ func (s *Instance) offsetFor(ft *workload.FileType, f *fs.File, size int64) int6
 	return off
 }
 
-// startTracker arms throughput measurement and the 1-second tick that
+// StartMeasurement arms throughput tracking and the 1-second tick that
 // closes idle windows and stops the run at stabilization. Starting a new
 // tracker supersedes any previous phase's tick chain.
-func (s *Instance) startTracker() {
+func (s *Instance) StartMeasurement() {
 	tr := stats.NewThroughputTracker(
 		s.cfg.WindowMS, s.dsys.MaxBandwidth(), s.cfg.TolerancePct, s.cfg.StableWindows)
 	s.tracker = tr

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the load-source half of the core refactor: the closed-loop
-// per-user sessions of §2.2 (scheduleUsers in instance.go, unchanged) get a
+// per-user sessions of §2.2 (ScheduleUsers in instance.go) get a
 // sibling — an open-loop arrival process that models the request stream a
 // front-end fleet sees, where offered load does not back off when the
 // server slows down. A single-instance run drives its own Instance through
@@ -191,30 +191,11 @@ func (s *Instance) Dispatch(now float64, a Arrival) {
 // instance's own slot in coordinator-preallocated per-index storage.
 // Nothing in this package locks, and nothing needs to.
 
-// NewInstance builds one fleet member in the shared engine: fleet slot idx,
-// RNG stream Seed + idx·stride (slot 0 draws identically to a plain run).
-func NewInstance(cfg Config, kind TestKind, eng *sim.Engine, idx int) (*Instance, error) {
-	tk, err := kindState(kind)
-	if err != nil {
-		return nil, err
-	}
-	return newInstance(cfg, tk, eng, idx)
-}
-
-// kindState maps the exported TestKind to the instance-level test state.
-func kindState(kind TestKind) (testKind, error) {
-	switch kind {
-	case Allocation, AllocationRealloc:
-		return allocationTest, nil
-	case Application:
-		return applicationTest, nil
-	case Sequential:
-		return sequentialTest, nil
-	case Aging:
-		return agingTest, nil
-	default:
-		return 0, fmt.Errorf("core: unknown test kind %d", int(kind))
-	}
+// NewInstance builds one fleet member, an application-test instance, on
+// the given engine: fleet slot idx, RNG stream Seed + idx·stride (slot 0
+// draws identically to a plain run).
+func NewInstance(cfg Config, eng *sim.Engine, idx int) (*Instance, error) {
+	return newInstance(cfg, Application, eng, idx)
 }
 
 // PrimeThroughput runs the initialization phases of a throughput test:
@@ -228,12 +209,6 @@ func (s *Instance) PrimeThroughput() error {
 	return nil
 }
 
-// StartMeasurement arms throughput tracking and the stabilization tick.
-func (s *Instance) StartMeasurement() { s.startTracker() }
-
-// ScheduleUsers starts the closed-loop per-user event streams.
-func (s *Instance) ScheduleUsers() { s.scheduleUsers() }
-
 // SetOnStable installs the fleet stabilization callback (see onStable).
 func (s *Instance) SetOnStable(fn func()) { s.onStable = fn }
 
@@ -244,9 +219,6 @@ func (s *Instance) SetOnOpDone(fn func(in *Instance, now, latencyMS float64)) {
 	s.onOpDone = fn
 }
 
-// Index returns the instance's fleet slot.
-func (s *Instance) Index() int { return s.idx }
-
 // MaxSimMS returns the resolved simulated-time cap (Config.MaxSimMS after
 // defaulting) — the horizon a Deployment runs the shared engine to.
 func (s *Instance) MaxSimMS() float64 { return s.cfg.MaxSimMS }
@@ -256,30 +228,14 @@ func (s *Instance) MaxSimMS() float64 { return s.cfg.MaxSimMS }
 // and central latency accounting share the core's quantile resolution.
 func NewLatencyHistogram() *stats.Histogram { return stats.NewHistogram(latencyBounds) }
 
-// InFlight returns the number of dispatched open-loop operations not yet
-// completed — the live load a router's snapshots observe.
-func (s *Instance) InFlight() int { return s.inFlightOpen }
-
 // Ops returns the operations completed so far.
 func (s *Instance) Ops() int64 { return s.ops }
 
 // Utilization returns the file system's current allocated/capacity ratio.
 func (s *Instance) Utilization() float64 { return s.fsys.Utilization() }
 
-// Stable reports whether the instance's throughput has stabilized.
-func (s *Instance) Stable() bool {
-	return s.tracker != nil && s.tracker.Stable()
-}
-
 // Canceled reports whether Config.Cancel fired during this instance's run.
 func (s *Instance) Canceled() bool { return s.canceled }
-
-// Result assembles the instance's throughput-test result for a run that
-// ended at simulated time end, including the post-run consistency check
-// and trace flush.
-func (s *Instance) Result(end float64) (PerfResult, error) {
-	return s.perfTail(end)
-}
 
 // MergeLatency folds this instance's per-operation latency into fleet-level
 // accumulators (the histogram must share latencyBounds, which all

@@ -16,14 +16,14 @@ import (
 // nil and the instrumentation points reduce to nil checks; the sampling
 // tick is never scheduled, so a metrics-off run fires exactly the same
 // event sequence as before the registry existed.
-func (s *Instance) wireMetrics(kind testKind) {
+func (s *Instance) wireMetrics() {
 	reg := s.cfg.Metrics
 	if reg == nil {
 		return
 	}
 	reg.SetLabel("policy", s.cfg.Policy.Name())
 	reg.SetLabel("workload", s.cfg.Workload.Name)
-	reg.SetLabel("test", [...]string{"alloc", "app", "seq", "aging"}[kind])
+	reg.SetLabel("test", s.kind.String())
 	reg.SetLabel("seed", strconv.FormatInt(s.cfg.Seed, 10))
 
 	s.dsys.SetMetrics(reg)
@@ -48,7 +48,7 @@ func (s *Instance) wireMetrics(kind testKind) {
 
 	// Free-space-shape timelines, only on the aging test — other kinds'
 	// bundles keep their existing series set byte for byte.
-	if kind == agingTest {
+	if s.kind == Aging {
 		if fr, ok := s.fsys.Policy().(alloc.FreeSpaceReporter); ok {
 			reg.TimelineFunc("frag.free_fragments", func() float64 {
 				return float64(fr.FreeSpaceStats().Fragments)
@@ -165,7 +165,7 @@ func (s *Instance) finalizeMetrics() {
 
 	reg.Gauge("core.ops_total").Set(float64(s.ops))
 
-	if s.kind == agingTest {
+	if s.kind == Aging {
 		if fr, ok := s.fsys.Policy().(alloc.FreeSpaceReporter); ok {
 			st := fr.FreeSpaceStats()
 			reg.Gauge("frag.final_free_fragments").Set(float64(st.Fragments))

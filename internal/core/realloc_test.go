@@ -7,16 +7,17 @@ import (
 	"rofs/internal/fault"
 )
 
-func TestRunAllocationWithReallocation(t *testing.T) {
-	res, err := RunAllocationWithReallocation(Config{
+func TestReallocationCompactsBuddyFiles(t *testing.T) {
+	out, err := Run(Config{
 		Disk:     smallDisk(),
 		Policy:   Buddy(),
 		Workload: scaledTS(),
 		Seed:     11,
-	})
+	}, AllocationRealloc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Realloc
 	if !res.Before.Filled {
 		t.Fatal("disk never filled before reallocation")
 	}
@@ -41,15 +42,16 @@ func TestRunAllocationWithReallocation(t *testing.T) {
 }
 
 func TestReallocationNoopForPoliciesWithoutCompactor(t *testing.T) {
-	res, err := RunAllocationWithReallocation(Config{
+	out, err := Run(Config{
 		Disk:     smallDisk(),
 		Policy:   Extent(extent.FirstFit, scaledRanges("TS", 3, 1)),
 		Workload: scaledTS(),
 		Seed:     11,
-	})
+	}, AllocationRealloc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Realloc
 	if res.Compacted != 0 || res.Failed != 0 {
 		t.Fatal("extent files should not be compacted")
 	}
@@ -63,15 +65,16 @@ func TestFixedOrderedSpec(t *testing.T) {
 	if spec.Name() != "fixed-4K-sorted" {
 		t.Fatalf("Name = %q", spec.Name())
 	}
-	res, err := RunAllocation(Config{
+	out, err := Run(Config{
 		Disk:     smallDisk(),
 		Policy:   spec,
 		Workload: scaledTS(),
 		Seed:     11,
-	})
+	}, Allocation)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Frag
 	if !res.Filled {
 		t.Fatal("address-ordered fixed policy never filled")
 	}
@@ -82,29 +85,30 @@ func TestHotSkewSelection(t *testing.T) {
 	// path); its throughput is positive.
 	wl := scaledTP()
 	wl.Types[0].HotSkew = 2.0
-	res, err := RunApplication(Config{
+	out, err := Run(Config{
 		Disk:     smallDisk(),
 		Policy:   RBuddy(5, 1, true),
 		Workload: wl,
 		Seed:     11,
 		MaxSimMS: 30_000,
-	})
+	}, Application)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Perf
 	if res.Percent <= 0 {
 		t.Fatal("skewed run produced no throughput")
 	}
 }
 
 func TestDegradedConfigRejectedOnStriped(t *testing.T) {
-	_, err := RunApplication(Config{
+	_, err := Run(Config{
 		Disk:     smallDisk(), // striped
 		Policy:   RBuddy(5, 1, true),
 		Workload: scaledTS(),
 		Seed:     1,
 		Faults:   fault.Scenario{PreFail: true},
-	})
+	}, Application)
 	if err == nil {
 		t.Fatal("degraded mode accepted on a striped array")
 	}

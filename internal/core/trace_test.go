@@ -17,16 +17,17 @@ import (
 )
 
 func TestLatencyReported(t *testing.T) {
-	res, err := RunApplication(Config{
+	out, err := Run(Config{
 		Disk:     smallDisk(),
 		Policy:   RBuddy(3, 1, true),
 		Workload: scaledTS(),
 		Seed:     4,
 		MaxSimMS: 30_000,
-	})
+	}, Application)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Perf
 	if res.MeanLatencyMS <= 0 {
 		t.Fatalf("MeanLatencyMS = %g", res.MeanLatencyMS)
 	}
