@@ -103,21 +103,26 @@ func (c Config) EffectiveRouting() string {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Instances < 0 {
+	// Negated comparisons also reject NaN, which a float flag can spell;
+	// the float knobs are checked whether or not the fleet is enabled.
+	switch {
+	case c.Instances < 0:
 		return fmt.Errorf("cluster: Instances %d must be >= 0", c.Instances)
+	case !(c.SnapshotMS >= 0):
+		return fmt.Errorf("cluster: SnapshotMS %g must be >= 0", c.SnapshotMS)
+	case !(c.SyncMS >= 0):
+		return fmt.Errorf("cluster: SyncMS %g must be >= 0", c.SyncMS)
+	case !(c.TokenCapacity >= 0 && c.TokenRefillPerSec >= 0):
+		return fmt.Errorf("cluster: TokenCapacity %g and TokenRefillPerSec %g must be >= 0", c.TokenCapacity, c.TokenRefillPerSec)
 	}
 	if !c.Enabled() {
 		return nil
 	}
 	switch {
-	case c.SnapshotMS < 0:
-		return fmt.Errorf("cluster: SnapshotMS %g must be >= 0", c.SnapshotMS)
 	case c.FaultInstance < 0 || c.FaultInstance >= c.Instances:
 		return fmt.Errorf("cluster: FaultInstance %d outside fleet [0, %d)", c.FaultInstance, c.Instances)
 	case c.Parallelism < 0:
 		return fmt.Errorf("cluster: Parallelism %d must be >= 0", c.Parallelism)
-	case c.SyncMS < 0:
-		return fmt.Errorf("cluster: SyncMS %g must be >= 0", c.SyncMS)
 	}
 	switch c.EffectiveRouting() {
 	case RouteRoundRobin, RouteLeastLoaded, RouteAffinity:
@@ -127,7 +132,7 @@ func (c Config) Validate() error {
 	switch c.Admission {
 	case "":
 	case AdmitTokenBucket:
-		if c.TokenCapacity <= 0 || c.TokenRefillPerSec <= 0 {
+		if !(c.TokenCapacity > 0 && c.TokenRefillPerSec > 0) {
 			return fmt.Errorf("cluster: token-bucket admission needs TokenCapacity and TokenRefillPerSec > 0")
 		}
 	case AdmitQueue:

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"rofs/internal/core"
@@ -152,6 +153,14 @@ func TestConfigValidate(t *testing.T) {
 		{Instances: 2, SnapshotMS: -1},
 		{Instances: 2, Parallelism: -1},
 		{Instances: 2, SyncMS: -1},
+		// A float flag can spell NaN, which passes an x < 0 check; the
+		// float knobs are checked on a disabled fleet too.
+		{Instances: 2, SnapshotMS: math.NaN()},
+		{Instances: 2, SyncMS: math.NaN()},
+		{Instances: 2, Admission: AdmitTokenBucket, TokenCapacity: math.NaN(), TokenRefillPerSec: 10},
+		{Instances: 2, Admission: AdmitTokenBucket, TokenCapacity: 5, TokenRefillPerSec: math.NaN()},
+		{SnapshotMS: math.NaN()},
+		{Admission: AdmitTokenBucket, TokenCapacity: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -102,24 +102,25 @@ func (s Scenario) FailsDrive() bool { return s.FailAtMS > 0 || s.MTTFMS > 0 }
 
 // Validate checks the scenario for internal consistency.
 func (s Scenario) Validate() error {
+	// Negated comparisons also reject NaN, which a float flag can spell.
 	switch {
-	case s.FailAtMS < 0:
+	case !(s.FailAtMS >= 0):
 		return fmt.Errorf("fault: FailAtMS %g must be >= 0", s.FailAtMS)
-	case s.MTTFMS < 0:
+	case !(s.MTTFMS >= 0):
 		return fmt.Errorf("fault: MTTFMS %g must be >= 0", s.MTTFMS)
 	case s.FailDrive < 0:
 		return fmt.Errorf("fault: FailDrive %d must be >= 0", s.FailDrive)
-	case s.TransientProb < 0 || s.TransientProb > 1:
+	case !(s.TransientProb >= 0 && s.TransientProb <= 1):
 		return fmt.Errorf("fault: TransientProb %g outside [0, 1]", s.TransientProb)
-	case s.SpareDelayMS < 0:
+	case !(s.SpareDelayMS >= 0):
 		return fmt.Errorf("fault: SpareDelayMS %g must be >= 0", s.SpareDelayMS)
 	case s.RebuildChunkBytes < 0:
 		return fmt.Errorf("fault: RebuildChunkBytes %d must be >= 0", s.RebuildChunkBytes)
-	case s.RebuildPauseMS < 0:
+	case !(s.RebuildPauseMS >= 0):
 		return fmt.Errorf("fault: RebuildPauseMS %g must be >= 0", s.RebuildPauseMS)
 	case s.MaxRetries < 0:
 		return fmt.Errorf("fault: MaxRetries %d must be >= 0", s.MaxRetries)
-	case s.RetryBackoffMS < 0:
+	case !(s.RetryBackoffMS >= 0):
 		return fmt.Errorf("fault: RetryBackoffMS %g must be >= 0", s.RetryBackoffMS)
 	case s.Rebuild && !s.FailsDrive():
 		return fmt.Errorf("fault: Rebuild needs a drive failure (FailAtMS or MTTFMS)")

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"flag"
+	"math"
 	"testing"
 )
 
@@ -46,6 +47,13 @@ func TestScenarioValidate(t *testing.T) {
 		{FailAtMS: 1, MaxRetries: -1},
 		{FailAtMS: 1, RetryBackoffMS: -1},
 		{Rebuild: true, TransientProb: 0.1}, // rebuild without a drive failure
+		// A float flag can spell NaN, which passes an x < 0 check.
+		{FailAtMS: math.NaN()},
+		{MTTFMS: math.NaN()},
+		{TransientProb: math.NaN()},
+		{FailAtMS: 1, SpareDelayMS: math.NaN()},
+		{FailAtMS: 1, RebuildPauseMS: math.NaN()},
+		{FailAtMS: 1, RetryBackoffMS: math.NaN()},
 	}
 	for _, sc := range bad {
 		if err := sc.Validate(); err == nil {

@@ -64,9 +64,9 @@ type Label struct {
 }
 
 // New returns an empty registry sampling timelines every intervalMS of
-// simulated time (DefaultIntervalMS when <= 0).
+// simulated time (DefaultIntervalMS when <= 0 or NaN).
 func New(intervalMS float64) *Registry {
-	if intervalMS <= 0 {
+	if !(intervalMS > 0) {
 		intervalMS = DefaultIntervalMS
 	}
 	return &Registry{intervalMS: intervalMS, byName: make(map[string]any)}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -100,6 +101,11 @@ func TestKindMismatchPanics(t *testing.T) {
 }
 
 func TestSamplingAndTimelineFunc(t *testing.T) {
+	for _, iv := range []float64{-5, math.NaN()} {
+		if got := New(iv).IntervalMS(); got != DefaultIntervalMS {
+			t.Fatalf("New(%g) interval = %g, want the default", iv, got)
+		}
+	}
 	r := New(0)
 	if r.IntervalMS() != DefaultIntervalMS {
 		t.Fatalf("default interval = %g", r.IntervalMS())

@@ -78,8 +78,8 @@ func (c *Compaction) Validate(w *Workload) error {
 	if c.SegmentBytes < 0 {
 		return fmt.Errorf("workload %q: compaction segment_bytes %d is negative", w.Name, c.SegmentBytes)
 	}
-	if c.FlushEveryMS < 0 {
-		return fmt.Errorf("workload %q: compaction flush_every_ms %g is negative", w.Name, c.FlushEveryMS)
+	if !(c.FlushEveryMS >= 0) { // also rejects NaN
+		return fmt.Errorf("workload %q: compaction flush_every_ms %g must be >= 0", w.Name, c.FlushEveryMS)
 	}
 	if c.Fanout < 0 || c.Fanout == 1 {
 		return fmt.Errorf("workload %q: compaction fanout %d must be 0 (default) or >= 2", w.Name, c.Fanout)

@@ -72,24 +72,25 @@ func (ft *FileType) ExtendSize() int64 {
 
 // Validate checks the file type for consistency.
 func (ft *FileType) Validate() error {
+	// Negated comparisons also reject NaN.
 	switch {
 	case ft.Files <= 0:
 		return fmt.Errorf("workload %q: Files %d must be positive", ft.Name, ft.Files)
 	case ft.Users <= 0:
 		return fmt.Errorf("workload %q: Users %d must be positive", ft.Name, ft.Users)
-	case ft.ProcessTimeMS < 0 || ft.HitFreqMS < 0:
-		return fmt.Errorf("workload %q: negative timing parameters", ft.Name)
+	case !(ft.ProcessTimeMS >= 0 && ft.HitFreqMS >= 0):
+		return fmt.Errorf("workload %q: ProcessTimeMS %g and HitFreqMS %g must be >= 0", ft.Name, ft.ProcessTimeMS, ft.HitFreqMS)
 	case ft.RWSizeBytes <= 0:
 		return fmt.Errorf("workload %q: RWSizeBytes %d must be positive", ft.Name, ft.RWSizeBytes)
 	case ft.InitialBytes < 0 || ft.TruncateBytes < 0 || ft.AllocSizeBytes < 0:
 		return fmt.Errorf("workload %q: negative size parameters", ft.Name)
-	case ft.ReadPct < 0 || ft.WritePct < 0 || ft.ExtendPct < 0:
-		return fmt.Errorf("workload %q: negative ratios", ft.Name)
+	case !(ft.ReadPct >= 0 && ft.WritePct >= 0 && ft.ExtendPct >= 0):
+		return fmt.Errorf("workload %q: ReadPct %g, WritePct %g and ExtendPct %g must be >= 0", ft.Name, ft.ReadPct, ft.WritePct, ft.ExtendPct)
 	case ft.ReadPct+ft.WritePct+ft.ExtendPct > 100:
 		return fmt.Errorf("workload %q: ratios exceed 100%%", ft.Name)
-	case ft.DeletePct < 0 || ft.DeletePct > 100:
+	case !(ft.DeletePct >= 0 && ft.DeletePct <= 100):
 		return fmt.Errorf("workload %q: DeletePct %g out of range", ft.Name, ft.DeletePct)
-	case ft.HotSkew != 0 && ft.HotSkew <= 1:
+	case ft.HotSkew != 0 && !(ft.HotSkew > 1):
 		return fmt.Errorf("workload %q: HotSkew %g must be 0 (uniform) or > 1", ft.Name, ft.HotSkew)
 	}
 	return nil

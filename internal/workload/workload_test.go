@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"rofs/internal/units"
@@ -33,12 +34,43 @@ func TestFileTypeValidation(t *testing.T) {
 		func(ft *FileType) { ft.ReadPct = -1 },
 		func(ft *FileType) { ft.ReadPct = 80; ft.WritePct = 30 },
 		func(ft *FileType) { ft.DeletePct = 150 },
+		// NaN passes an x < 0 check; each float field must reject it.
+		func(ft *FileType) { ft.ProcessTimeMS = math.NaN() },
+		func(ft *FileType) { ft.HitFreqMS = math.NaN() },
+		func(ft *FileType) { ft.ReadPct = math.NaN() },
+		func(ft *FileType) { ft.WritePct = math.NaN() },
+		func(ft *FileType) { ft.ExtendPct = math.NaN() },
+		func(ft *FileType) { ft.DeletePct = math.NaN() },
+		func(ft *FileType) { ft.HotSkew = math.NaN() },
 	}
 	for i, m := range mutations {
 		ft := base()
 		m(&ft)
 		if ft.Validate() == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+func TestCompactionValidation(t *testing.T) {
+	for _, c := range []Compaction{{}, {Policy: CompactLeveled, SegmentBytes: 1 << 20, FlushEveryMS: 100, Fanout: 8}} {
+		w := TransactionProcessing()
+		w.Compact = &c
+		if err := w.Validate(); err != nil {
+			t.Errorf("%+v: %v", c, err)
+		}
+	}
+	for _, c := range []Compaction{
+		{Policy: "lsm"},
+		{SegmentBytes: -1},
+		{FlushEveryMS: -1},
+		{FlushEveryMS: math.NaN()},
+		{Fanout: 1},
+	} {
+		w := TransactionProcessing()
+		w.Compact = &c
+		if w.Validate() == nil {
+			t.Errorf("%+v accepted", c)
 		}
 	}
 }
