@@ -94,9 +94,6 @@ func NewInjector(sc Scenario, runSeed int64, dsys *disk.System, fsys *fs.FileSys
 	return inj, nil
 }
 
-// Scenario returns the armed scenario with its defaults applied.
-func (inj *Injector) Scenario() Scenario { return inj.sc }
-
 // fail is the drive-failure arrival: fail the scenario's drive now. A
 // second arrival while the array is already degraded is a no-op (one
 // spare slot); with MTTF arrivals the next draw is scheduled from the

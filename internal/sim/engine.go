@@ -222,14 +222,3 @@ func (e *Engine) RunUntil(untilMS float64) float64 {
 	}
 	return e.now
 }
-
-// Drain discards all pending events (used between experiment phases). The
-// backing array is zeroed before truncation so it does not keep the
-// discarded events' handlers — and whatever state they captured —
-// reachable across phases.
-func (e *Engine) Drain() {
-	for i := range e.queue {
-		e.queue[i] = event{}
-	}
-	e.queue = e.queue[:0]
-}

@@ -120,19 +120,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func(float64) {})
 }
 
-func TestEngineDrain(t *testing.T) {
-	var e Engine
-	e.At(1, func(float64) {})
-	e.At(2, func(float64) {})
-	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatal("Drain left events queued")
-	}
-	if end := e.Run(math.Inf(1)); end != 0 {
-		t.Fatalf("Run after drain moved clock to %g", end)
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	run := func() []float64 {
 		var e Engine

@@ -146,30 +146,9 @@ func TestStopMidBatch(t *testing.T) {
 	}
 }
 
-// TestDrainReleasesHandlers proves Drain does not pin discarded events'
-// handlers: the truncated backing array must hold no Handler references,
-// or state captured by between-phase closures would stay live until the
-// array is overwritten (the leak this white-box check guards against).
-func TestDrainReleasesHandlers(t *testing.T) {
-	var e Engine
-	for i := 0; i < 100; i++ {
-		payload := make([]byte, 1<<10)
-		e.At(float64(i), func(float64) { _ = payload })
-	}
-	e.Drain()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after Drain", e.Pending())
-	}
-	backing := e.queue[:cap(e.queue)]
-	for i := range backing {
-		if backing[i].fn != nil {
-			t.Fatalf("Drain left a handler pinned at backing slot %d", i)
-		}
-	}
-}
-
-// TestPopReleasesHandlers is the same guard for the normal fire path: a
-// fired event's slot in the backing array must not keep its handler alive.
+// TestPopReleasesHandlers guards the fire path: a fired event's slot in
+// the backing array must not keep its handler — and whatever state it
+// captured — alive until the array is overwritten.
 func TestPopReleasesHandlers(t *testing.T) {
 	var e Engine
 	for i := 0; i < 64; i++ {

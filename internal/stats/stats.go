@@ -18,23 +18,11 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the estimator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -45,12 +33,6 @@ func (w *Welford) N() int64 { return w.n }
 
 // Mean returns the sample mean, or 0 with no observations.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (w *Welford) Max() float64 { return w.max }
 
 // Variance returns the unbiased sample variance (0 for n < 2).
 func (w *Welford) Variance() float64 {
@@ -76,12 +58,6 @@ func (w *Welford) Merge(o *Welford) {
 	delta := o.mean - w.mean
 	mean := w.mean + delta*float64(o.n)/float64(n)
 	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
 	w.n, w.mean, w.m2 = n, mean, m2
 }
 

@@ -38,10 +38,11 @@ type Arrivals struct {
 	// order. Timestamps must be non-decreasing.
 	Trace []TraceOp `json:"trace,omitempty"`
 	// TraceFile references a trace file on local disk (see ImportTrace for
-	// the grammar). It is a CLI-side convenience: ResolveTraceFile loads it
-	// into Trace before the workload is validated or run. The service
-	// rejects requests that still carry one — servers do not read
-	// client-local paths; inline the trace instead.
+	// the grammar). Nothing reads it: the CLIs' -arrival-trace loads a
+	// file into Trace (LoadTraceFile), Validate rejects a workload that
+	// still carries a reference, and the service rejects requests that
+	// carry one — servers do not read client-local paths; inline the
+	// trace instead.
 	TraceFile string `json:"trace_file,omitempty"`
 }
 
@@ -81,7 +82,7 @@ func (a *Arrivals) EffectiveClients() int {
 // Validate checks the arrival process against the workload's types.
 func (a *Arrivals) Validate(w *Workload) error {
 	if a.TraceFile != "" {
-		return fmt.Errorf("workload %q: arrivals trace_file %q is unresolved — load it with -arrival-trace (or workload.ResolveTraceFile); only inline traces run", w.Name, a.TraceFile)
+		return fmt.Errorf("workload %q: arrivals trace_file %q is unresolved — load it with -arrival-trace; only inline traces run", w.Name, a.TraceFile)
 	}
 	switch a.EffectiveMode() {
 	case ArrivalsPoisson:

@@ -245,33 +245,5 @@ func LoadTraceFile(path string) (*Arrivals, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	a.TraceFile = ""
 	return a, nil
-}
-
-// ResolveTraceFile loads a TraceFile reference in place: the file's
-// operations become the inline Trace and the path is cleared. Arrivals
-// without a TraceFile (or nil arrivals) pass through untouched. It is the
-// CLI-side step that turns `-arrival-trace <file>` into the inline form
-// every other layer — the service in particular — requires.
-func ResolveTraceFile(a *Arrivals) error {
-	if a == nil || a.TraceFile == "" {
-		return nil
-	}
-	if len(a.Trace) > 0 {
-		return fmt.Errorf("arrivals: trace_file %q and an inline trace are mutually exclusive", a.TraceFile)
-	}
-	if a.EffectiveMode() == ArrivalsPoisson && a.Mode != "" {
-		return fmt.Errorf("arrivals: trace_file %q set on %s-mode arrivals", a.TraceFile, a.Mode)
-	}
-	loaded, err := LoadTraceFile(a.TraceFile)
-	if err != nil {
-		return err
-	}
-	a.Trace = loaded.Trace
-	a.TraceFile = ""
-	if a.Mode == "" {
-		a.Mode = ArrivalsTrace
-	}
-	return nil
 }

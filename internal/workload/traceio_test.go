@@ -118,20 +118,20 @@ func TestImportTraceValidatesAgainstWorkload(t *testing.T) {
 	}
 }
 
-func TestResolveTraceFile(t *testing.T) {
+func TestLoadTraceFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ops.trace")
 	if err := os.WriteFile(path, []byte("0 read\n5 write\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := &Arrivals{TraceFile: path}
-	if err := ResolveTraceFile(a); err != nil {
+	a, err := LoadTraceFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if a.TraceFile != "" || len(a.Trace) != 2 || a.Mode != ArrivalsTrace {
-		t.Fatalf("resolve left %+v", a)
+		t.Fatalf("load returned %+v", a)
 	}
-	// A workload carrying the resolved block validates end to end.
+	// A workload carrying the loaded block validates end to end.
 	wl := TimeSharing()
 	wl.Arrivals = a
 	if err := wl.Validate(); err != nil {
@@ -144,20 +144,16 @@ func TestResolveTraceFile(t *testing.T) {
 		t.Fatalf("unresolved trace_file validated: %v", err)
 	}
 
-	// Conflicting inline + file forms are rejected.
-	both := &Arrivals{TraceFile: path, Trace: []TraceOp{{AtMS: 0}}}
-	if err := ResolveTraceFile(both); err == nil {
-		t.Fatal("trace_file alongside inline trace accepted")
-	}
-	// Explicit poisson mode cannot reference a trace file.
-	pois := &Arrivals{Mode: ArrivalsPoisson, RatePerSec: 10, TraceFile: path}
-	if err := ResolveTraceFile(pois); err == nil {
-		t.Fatal("poisson trace_file accepted")
-	}
-	// Missing files fail loudly.
-	gone := &Arrivals{TraceFile: filepath.Join(dir, "missing.trace")}
-	if err := ResolveTraceFile(gone); err == nil {
+	// Missing files fail loudly; a parse error names the file.
+	if _, err := LoadTraceFile(filepath.Join(dir, "missing.trace")); err == nil {
 		t.Fatal("missing trace file accepted")
+	}
+	bad := filepath.Join(dir, "backwards.trace")
+	if err := os.WriteFile(bad, []byte("5 read\n1 write\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTraceFile(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("backwards trace: err = %v, want an error naming %s", err, bad)
 	}
 }
 
