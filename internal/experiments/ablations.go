@@ -41,9 +41,8 @@ func (c LayoutCell) Name() string {
 // small write performance" — visible in the TP application numbers, which
 // are dominated by 8K random writes paying read-modify-write.
 //
-// Redundant layouts shrink the data capacity, so the workload is divided
-// by the capacity ratio (and the fill phase restores the 90% measurement
-// band); at least four drives are used so RAID-5 is non-degenerate.
+// Redundant layouts shrink the data capacity, so each variant runs on
+// redundantArray's drives and divided workload.
 func AblationRAID(ctx context.Context, pool *runner.Pool, sc Scale, wlName string) ([]LayoutCell, error) {
 	type variant struct {
 		layout   disk.Layout
@@ -58,31 +57,9 @@ func AblationRAID(ctx context.Context, pool *runner.Pool, sc Scale, wlName strin
 	}
 	var specs []runner.Spec
 	for _, v := range variants {
-		dcfg := sc.Disk
-		dcfg.Layout = v.layout
-		if dcfg.NDisks < 4 {
-			dcfg.NDisks = 4
-		}
-		wl, err := sc.Workload(wlName)
+		dcfg, wl, err := sc.redundantArray(v.layout, wlName)
 		if err != nil {
 			return nil, err
-		}
-		// Capacity relative to the plain-striped baseline at the bench's
-		// original drive count, as an integer divisor for the workload.
-		baseCap := sc.Disk.Geometry.Capacity() * int64(sc.Disk.NDisks)
-		layoutCap := dcfg.Geometry.Capacity() * int64(dcfg.NDisks)
-		switch v.layout {
-		case disk.Mirrored:
-			layoutCap /= 2
-		case disk.RAID5, disk.ParityStriped:
-			layoutCap = layoutCap * int64(dcfg.NDisks-1) / int64(dcfg.NDisks)
-		}
-		if div := (baseCap + layoutCap - 1) / layoutCap; div > 1 {
-			if wl.Name == "TS" {
-				wl = wl.Scale(div, 1)
-			} else {
-				wl = wl.Scale(1, div)
-			}
 		}
 		for _, kind := range []core.TestKind{core.Application, core.Sequential} {
 			sp := sc.Spec(core.RBuddy(5, 1, true), wl, kind)

@@ -52,9 +52,7 @@ func DefaultFaultScenario(sc Scale) fault.Scenario {
 // failure/rebuild window next to the recovery counters. A zero scenario
 // selects DefaultFaultScenario.
 //
-// The array follows the RAID ablation's conventions: at least four
-// drives so RAID-5 is non-degenerate, with the workload divided by the
-// capacity ratio against the plain-striped baseline.
+// The array follows the RAID ablation's conventions (redundantArray).
 func FaultTable(ctx context.Context, pool *runner.Pool, sc Scale, wlName string, faults fault.Scenario) ([]FaultCell, error) {
 	if !faults.Enabled() {
 		faults = DefaultFaultScenario(sc)
@@ -63,24 +61,9 @@ func FaultTable(ctx context.Context, pool *runner.Pool, sc Scale, wlName string,
 		return nil, fmt.Errorf("fault table: %w", err)
 	}
 
-	dcfg := sc.Disk
-	dcfg.Layout = disk.RAID5
-	if dcfg.NDisks < 4 {
-		dcfg.NDisks = 4
-	}
-	wl, err := sc.Workload(wlName)
+	dcfg, wl, err := sc.redundantArray(disk.RAID5, wlName)
 	if err != nil {
 		return nil, err
-	}
-	baseCap := sc.Disk.Geometry.Capacity() * int64(sc.Disk.NDisks)
-	layoutCap := dcfg.Geometry.Capacity() * int64(dcfg.NDisks)
-	layoutCap = layoutCap * int64(dcfg.NDisks-1) / int64(dcfg.NDisks)
-	if div := (baseCap + layoutCap - 1) / layoutCap; div > 1 {
-		if wl.Name == "TS" {
-			wl = wl.Scale(div, 1)
-		} else {
-			wl = wl.Scale(1, div)
-		}
 	}
 
 	policies, err := sc.Figure6Policies(wlName)

@@ -250,32 +250,15 @@ func (p *Pool) jobs() int {
 func (p *Pool) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	results := make([]Result, len(specs))
 	p.enqueue(len(specs))
-	workers := p.jobs()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
 	var cbMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = p.one(ctx, specs[i])
-				if cb := p.OnResult; cb != nil {
-					cbMu.Lock()
-					cb(i, results[i])
-					cbMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range specs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	p.each(len(specs), func(i int) {
+		results[i] = p.one(ctx, specs[i])
+		if cb := p.OnResult; cb != nil {
+			cbMu.Lock()
+			cb(i, results[i])
+			cbMu.Unlock()
+		}
+	})
 	for i := range results {
 		if err := results[i].Err; err != nil {
 			return results, fmt.Errorf("%s: %w", results[i].Spec.Label(), err)
@@ -470,18 +453,26 @@ func (p *Pool) simulate(ctx context.Context, sp Spec) (out core.Outcome, err err
 // observing ctx mid-iteration.
 func (p *Pool) Do(ctx context.Context, n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	workers := p.jobs()
-	if workers > n {
-		workers = n
+	p.each(n, func(i int) { errs[i] = protect(ctx, i, fn) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// each calls work(i) for every i in [0, n) on min(Jobs, n) workers fed
+// from one index channel, and returns once every call has returned.
+func (p *Pool) each(n int, work func(i int)) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(p.jobs(), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = protect(ctx, i, fn)
+				work(i)
 			}
 		}()
 	}
@@ -490,12 +481,6 @@ func (p *Pool) Do(ctx context.Context, n int, fn func(i int) error) error {
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // protect invokes fn(i) with ctx and panic guards.
